@@ -22,12 +22,13 @@ constexpr std::uint32_t kNoBase = 0xffffffffu;
 constexpr std::uint32_t kNoIndex = 0xfffffffeu;
 /// Sentinel grouping key for accesses without a provable stride.
 constexpr long long kSymbolicStride = std::numeric_limits<long long>::min();
-/// Band replays beyond this many iterations fall back to the single-band
-/// approximation (keeps pathological displacement spans bounded).
-constexpr long long kMaxReplayMargin = 1 << 20;
 
 [[nodiscard]] long long floor_div(long long a, long long b) {
   return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+
+[[nodiscard]] long long floor_mod(long long a, long long b) {
+  return a - floor_div(a, b) * b;
 }
 
 [[nodiscard]] long long access_width_bytes(const MemAccess& a) {
@@ -62,15 +63,36 @@ struct StreamKey {
   return k;
 }
 
-/// One member access, pre-resolved for the periodic replay.
+/// One member access of a stream, pre-resolved for the rate arithmetic.
 struct Member {
   long long lo = 0;       // effective displacement of the first byte
   long long width = 1;    // bytes
   bool is_load = false;
   bool is_store = false;
   bool nontemporal = false;
-  int access_index = 0;   // into dataflow::Analysis::accesses
 };
+
+/// The members of a stream, in program order.
+[[nodiscard]] std::vector<Member> members_of(const Stream& s,
+                                             const asmir::Program& prog,
+                                             const dataflow::Analysis& df) {
+  std::vector<Member> members;
+  members.reserve(s.accesses.size());
+  for (int ai : s.accesses) {
+    const MemAccess& a = df.accesses[static_cast<std::size_t>(ai)];
+    Member m;
+    m.lo = a.effective_displacement();
+    m.width = access_width_bytes(a);
+    m.is_load = a.is_load;
+    m.is_store = a.is_store;
+    m.nontemporal =
+        a.is_store &&
+        is_nontemporal_store(
+            prog.code[static_cast<std::size_t>(a.instr)].mnemonic, prog.isa);
+    members.push_back(m);
+  }
+  return members;
+}
 
 struct Rates {
   double lines = 0;        // new lines / iteration
@@ -80,62 +102,62 @@ struct Rates {
   double nt_line_ops = 0;  // non-temporal store line-operations / iteration
 };
 
-/// Exact steady-state rates of one stream by replaying its periodic byte
-/// footprint: lines first touched in the middle third of a
-/// 3 x (span + period + slack) window are fully classified (first-touch
-/// kind, eventual dirtiness) by the time the replay ends.
-[[nodiscard]] Rates replay_rates(const std::vector<Member>& members,
-                                 long long stride, int line_bytes,
-                                 long long margin) {
-  Rates r;
-  struct LineState {
-    bool store_first = false;
-    bool dirty = false;
-    bool in_window = false;
-    bool counted_dirty = false;
+/// Exact steady-state rates of a set of members advancing by `stride`.
+/// Line coverage repeats every P = line/gcd(|stride|, line) iterations, so
+/// the first touches falling in iterations [0, P) give every rate as
+/// count / P.  Member k first reaches line l at iteration
+/// i_k = ceil((l*line - (lo_k + w_k - 1)) / stride) and touches it at all
+/// iff lo_k + i_k*stride <= (l+1)*line - 1; a line is new at (i, j) iff
+/// (i, j) is the lexicographic minimum of the (i_k, k).  Negative strides
+/// are mirrored (byte a -> -a-1 maps line l -> -l-1).  Non-temporal
+/// stores bypass the caches: they count line operations, never lines.
+/// Work: O(P * M^2 * ceil(w/line)).
+[[nodiscard]] Rates line_rates(std::vector<Member> members, long long stride,
+                               int line_bytes) {
+  if (stride < 0) {
+    for (Member& m : members) m.lo = -m.lo - m.width;
+    stride = -stride;
+  }
+  const long long line = line_bytes;
+  const long long period = line / std::gcd(stride, line);
+  constexpr long long kNever = std::numeric_limits<long long>::max();
+  const auto first_touch = [&](const Member& m, long long l) {
+    const long long i = -floor_div(m.lo + m.width - 1 - l * line, stride);
+    return m.lo + i * stride <= (l + 1) * line - 1 ? i : kNever;
   };
-  std::unordered_map<long long, LineState> lines;
-  lines.reserve(static_cast<std::size_t>(
-      std::min<long long>(4 * margin, kMaxReplayMargin)));
-  long long new_lines = 0;
+  long long lines = 0;
   long long store_first = 0;
   long long dirty = 0;
   long long nt_ops = 0;
-  const long long window_lo = margin;
-  const long long window_hi = 2 * margin;
-  for (long long i = 0; i < 3 * margin; ++i) {
-    const bool in_window = i >= window_lo && i < window_hi;
-    for (const Member& m : members) {
-      const long long lo = m.lo + i * stride;
-      const long long l0 = floor_div(lo, line_bytes);
-      const long long l1 = floor_div(lo + m.width - 1, line_bytes);
+  for (long long i = 0; i < period; ++i) {
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      const Member& m = members[j];
+      const long long l0 = floor_div(m.lo + i * stride, line);
+      const long long l1 = floor_div(m.lo + i * stride + m.width - 1, line);
       if (m.nontemporal) {
-        if (in_window) nt_ops += l1 - l0 + 1;
+        nt_ops += l1 - l0 + 1;
         continue;
       }
       for (long long l = l0; l <= l1; ++l) {
-        auto [it, fresh] = lines.try_emplace(l);
-        LineState& st = it->second;
-        if (fresh) {
-          st.store_first = m.is_store && !m.is_load;
-          st.in_window = in_window;
-          if (in_window) {
-            ++new_lines;
-            if (st.store_first) ++store_first;
-          }
+        bool fresh = true;
+        bool dirtied = false;
+        for (std::size_t k = 0; k < members.size() && fresh; ++k) {
+          if (members[k].nontemporal) continue;
+          const long long ik = first_touch(members[k], l);
+          if (ik == kNever) continue;
+          fresh = ik > i || (ik == i && k >= j);
+          dirtied |= members[k].is_store;
         }
-        if (m.is_store && !st.dirty) {
-          st.dirty = true;
-          if (st.in_window && !st.counted_dirty) {
-            st.counted_dirty = true;
-            ++dirty;
-          }
-        }
+        if (!fresh) continue;
+        ++lines;
+        store_first += m.is_store && !m.is_load;
+        dirty += dirtied;
       }
     }
   }
-  const double denom = static_cast<double>(margin);
-  r.lines = static_cast<double>(new_lines) / denom;
+  const double denom = static_cast<double>(period);
+  Rates r;
+  r.lines = static_cast<double>(lines) / denom;
   r.store_first = static_cast<double>(store_first) / denom;
   r.load_first = r.lines - r.store_first;
   r.dirty = static_cast<double>(dirty) / denom;
@@ -143,43 +165,20 @@ struct Rates {
   return r;
 }
 
-/// Distinct-lines-per-iteration rate of a subset of members (a band).
-[[nodiscard]] double band_rate(const std::vector<Member>& members,
-                               long long stride, int line_bytes,
-                               long long margin) {
-  Rates r = replay_rates(members, stride, line_bytes, margin);
-  return r.lines;
-}
-
-/// Contiguity test: with the replayed lines known to advance at
-/// |stride|/line per iteration, coverage is unit-stride when the byte
-/// intervals of a long-enough window union into one gap-free range.
-[[nodiscard]] bool covers_contiguously(const std::vector<Member>& members,
-                                       long long stride, long long span,
-                                       long long iters_cap) {
+/// Contiguity test: member k covers exactly the bytes a with
+/// (a - lo_k) mod |stride| < w_k, so coverage is gap-free iff the residue
+/// arcs cover the circle of |stride| bytes -- iff no arc's end falls in a
+/// hole.
+[[nodiscard]] bool covers_residue_circle(const std::vector<Member>& members,
+                                         long long stride) {
   const long long as = std::llabs(stride);
-  if (as == 0) return false;
-  const long long iters =
-      std::min<long long>(2 * (span / as + 1) + 16, iters_cap);
-  std::vector<std::pair<long long, long long>> ivals;
-  ivals.reserve(static_cast<std::size_t>(iters) * members.size());
-  for (long long i = 0; i < iters; ++i) {
-    for (const Member& m : members) {
-      const long long lo = m.lo + i * stride;
-      ivals.emplace_back(lo, lo + m.width);
-    }
-  }
-  std::sort(ivals.begin(), ivals.end());
-  // Interior holes only: the ends of the window are ragged by construction.
-  const long long guard = span + as;
-  const long long lo_guard = ivals.front().first + guard;
-  const long long hi_guard = ivals.back().second - guard;
-  long long cursor = ivals.front().first;
-  for (const auto& [lo, hi] : ivals) {
-    if (lo > cursor && cursor >= lo_guard && lo <= hi_guard) return false;
-    cursor = std::max(cursor, hi);
-  }
-  return true;
+  const auto covered = [&](long long byte) {
+    return std::ranges::any_of(members, [&](const Member& m) {
+      return floor_mod(byte - m.lo, as) < m.width;
+    });
+  };
+  return std::ranges::all_of(
+      members, [&](const Member& m) { return covered(m.lo + m.width); });
 }
 
 [[nodiscard]] bool is_vector_mnemonic_nt(const std::string& m) {
@@ -212,22 +211,8 @@ struct Rates {
     bool any_load = false;
     bool any_store = false;
     bool any_gather = false;
-    std::vector<Member> members;
-    members.reserve(members_idx.size());
     for (int ai : members_idx) {
       const MemAccess& a = df.accesses[static_cast<std::size_t>(ai)];
-      Member m;
-      m.lo = a.effective_displacement();
-      m.width = access_width_bytes(a);
-      m.is_load = a.is_load;
-      m.is_store = a.is_store;
-      m.access_index = ai;
-      m.nontemporal =
-          a.is_store &&
-          is_nontemporal_store(
-              prog.code[static_cast<std::size_t>(a.instr)].mnemonic,
-              prog.isa);
-      members.push_back(m);
       any_load |= a.is_load;
       any_store |= a.is_store;
       any_gather |= a.is_gather;
@@ -236,6 +221,7 @@ struct Rates {
     s.kind = any_load && any_store ? StreamKind::ReadModifyWrite
              : any_store          ? StreamKind::Store
                                   : StreamKind::Load;
+    const std::vector<Member> members = members_of(s, prog, df);
 
     long long min_lo = members.front().lo;
     long long max_hi = members.front().lo + members.front().width;
@@ -268,8 +254,6 @@ struct Rates {
       continue;
     }
     const long long as = std::llabs(stride);
-    const long long period =
-        line_bytes / std::gcd(as, static_cast<long long>(line_bytes));
 
     // --- band clustering: accesses whose ranges touch within one period
     // sweep share a band; larger gaps separate reuse distances. ---
@@ -292,28 +276,7 @@ struct Rates {
     // Sweep order: the leading band is the one the advance runs into.
     if (stride > 0) std::reverse(raw.begin(), raw.end());
 
-    // The replay window must span a whole number of line-coverage periods:
-    // otherwise the counted-lines / window ratio misstates the steady rate
-    // (e.g. 3 lines in a 14-iteration window instead of exactly 1/4).
-    const auto whole_periods = [&](long long iters) {
-      return (iters + period - 1) / period * period;
-    };
-    const long long span_iters = s.span_bytes / as + 1;
-    const long long margin =
-        std::min<long long>(whole_periods(span_iters + period + 8),
-                            kMaxReplayMargin / period * period);
-    const bool approximate =
-        whole_periods(span_iters + period + 8) > kMaxReplayMargin;
-
-    Rates rates;
-    if (approximate) {
-      // Span too large to replay: leading-band rates, whole-stream dirty.
-      rates = replay_rates(raw.front().members, stride, line_bytes,
-                           whole_periods(period + 8));
-      if (any_store) rates.dirty = rates.lines;
-    } else {
-      rates = replay_rates(members, stride, line_bytes, margin);
-    }
+    const Rates rates = line_rates(members, stride, line_bytes);
     s.lines_per_iter = rates.lines;
     s.load_first_lines = rates.load_first;
     s.store_first_lines = rates.store_first;
@@ -329,11 +292,8 @@ struct Rates {
       if (bi == 0) {
         b.lines_per_iter = rates.lines;
       } else {
-        b.lines_per_iter = band_rate(
-            raw[bi].members, stride, line_bytes,
-            std::min<long long>(
-                whole_periods((raw[bi].hi - raw[bi].lo) / as + period + 8),
-                kMaxReplayMargin / period * period));
+        b.lines_per_iter =
+            line_rates(raw[bi].members, stride, line_bytes).lines;
         const RawBand& ahead = raw[bi - 1];
         const long long gap = stride > 0 ? ahead.lo - raw[bi].hi
                                          : raw[bi].lo - ahead.hi;
@@ -344,9 +304,8 @@ struct Rates {
       s.bands.push_back(b);
     }
 
-    const bool contiguous =
-        covers_contiguously(members, stride, s.span_bytes, 1 << 16);
-    s.pattern = contiguous ? Pattern::UnitStride : Pattern::Strided;
+    s.pattern = covers_residue_circle(members, stride) ? Pattern::UnitStride
+                                                       : Pattern::Strided;
     streams.push_back(std::move(s));
   }
   return streams;
@@ -540,6 +499,41 @@ Result analyze(const asmir::Program& prog, const uarch::MachineModel& mm) {
     const double lambda = s.lines_per_iter;
     if (lambda <= 0 && s.nt_store_line_ops <= 0) continue;
 
+    // Trailing bands: the layer condition picks the level serving each
+    // re-touch.  A band served from memory re-reads lines that left the
+    // hierarchy and opens a new residency; a line is written back once per
+    // residency in which one of that residency's stores touched it.
+    std::vector<int> residency(s.bands.size(), 0);
+    std::vector<bool> stored{false};
+    for (std::size_t bi = 0; bi < s.bands.size(); ++bi) {
+      Band& b = s.bands[bi];
+      if (!b.leading) {
+        const double reuse_bytes = b.gap_iterations * agg_bytes_per_iter;
+        b.reuse = reuse_bytes <= c1    ? ReuseLevel::L1
+                  : reuse_bytes <= c12 ? ReuseLevel::L2
+                  : reuse_bytes <= c123 ? ReuseLevel::L3
+                                        : ReuseLevel::Memory;
+        if (b.reuse == ReuseLevel::Memory) stored.push_back(false);
+      }
+      residency[bi] = static_cast<int>(stored.size()) - 1;
+      if (b.has_store) stored.back() = true;
+    }
+    if (std::find(stored.begin() + 1, stored.end(), true) != stored.end()) {
+      // Stores of later residencies do not dirty the leading one (only the
+      // dirty rate of this recount is read).
+      std::vector<Member> members = members_of(s, prog, df);
+      for (Member& m : members) {
+        for (std::size_t bi = 0; bi < s.bands.size(); ++bi) {
+          const Band& b = s.bands[bi];
+          if (m.lo >= b.lo && m.lo < b.hi && residency[bi] > 0) {
+            m.is_store = false;
+          }
+        }
+      }
+      s.dirty_lines =
+          line_rates(members, *s.stride_bytes, cp.line_bytes).dirty;
+    }
+
     // Leading-edge lifetime: fill, full descent, one write-back if dirty.
     v.l1_miss += lambda;
     v.l1_evict += lambda;
@@ -548,16 +542,11 @@ Result analyze(const asmir::Program& prog, const uarch::MachineModel& mm) {
     v.mem_write += s.dirty_lines;
     v.mem_write += s.nt_store_line_ops;
 
-    // Trailing bands: the layer condition picks the level serving each
-    // re-touch; the promotion and re-descent traffic follows the exclusive
-    // victim hierarchy.
-    for (Band& b : s.bands) {
+    // Re-touch traffic follows the exclusive victim hierarchy: promotion
+    // and re-descent.
+    for (std::size_t bi = 0; bi < s.bands.size(); ++bi) {
+      const Band& b = s.bands[bi];
       if (b.leading) continue;
-      const double reuse_bytes = b.gap_iterations * agg_bytes_per_iter;
-      b.reuse = reuse_bytes <= c1    ? ReuseLevel::L1
-                : reuse_bytes <= c12 ? ReuseLevel::L2
-                : reuse_bytes <= c123 ? ReuseLevel::L3
-                                      : ReuseLevel::Memory;
       const double rho = b.lines_per_iter;
       switch (b.reuse) {
         case ReuseLevel::L1:
@@ -578,7 +567,9 @@ Result analyze(const asmir::Program& prog, const uarch::MachineModel& mm) {
           v.l1_evict += rho;
           v.l2_evict += rho;
           v.mem_read += rho;
-          if (b.has_store) v.mem_write += rho;
+          if (stored[static_cast<std::size_t>(residency[bi])]) {
+            v.mem_write += rho;
+          }
           break;
       }
     }

@@ -7,11 +7,17 @@
 // accesses that share an address class and therefore sweep memory together.
 // Each stream is classified (load / store / read-modify-write; unit-stride /
 // strided / gather-scatter / fixed; write-allocate vs. streaming-store) and
-// reduced to steady-state per-iteration line rates by a periodic
-// line-coverage analysis: with stride s, the line pattern repeats every
-// P = 64/gcd(|s|,64) iterations, so replaying a few periods of the stream's
-// byte footprint yields exact new-lines/iteration, first-touch (load-first
-// vs. store-first) classification and dirty rates.
+// reduced to steady-state per-iteration line rates in closed form: with
+// stride s and line size L the line-coverage pattern repeats every
+// P = L/gcd(|s|,L) <= L iterations, so the first touches of iterations
+// 0..P-1 give exact new-lines/iteration, first-touch (load-first vs.
+// store-first) classification, dirty and non-temporal rates as count / P.
+// Whether a member touches a line, and at which iteration first, is
+// arithmetic on its displacement, width and the stride; negative strides
+// are mirrored (byte a -> -a-1 maps line l -> -l-1).  A stream is
+// unit-stride when its members' byte ranges, taken modulo |s|, cover the
+// residue circle of |s| bytes.  Work is O(P * M^2 * ceil(w/L)) for M
+// members of width up to w bytes.
 //
 // On top of the stream rates the engine computes analytic per-cache-level
 // data volumes against a machine's cache geometry (uarch::CacheParams, the
@@ -91,7 +97,11 @@ struct Stream {
   double lines_per_iter = 0;        // new lines (leading-edge rate)
   double load_first_lines = 0;      // new lines first touched by a load
   double store_first_lines = 0;     // new lines first touched by a store
-  double dirty_lines = 0;           // new lines eventually stored to
+  /// New lines a store touches before they leave the hierarchy.
+  /// extract_streams() counts every store; analyze() leaves out stores of
+  /// bands whose re-touch is served from memory (each such band re-reads
+  /// the line and writes it back itself).
+  double dirty_lines = 0;
   double nt_store_line_ops = 0;     // non-temporal store line-ops per iter
 
   /// Human-readable address expression, e.g. "[x1 + x2*8]" or "[rax]".

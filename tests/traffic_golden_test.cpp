@@ -1,0 +1,108 @@
+// Golden pin of the static traffic engine's full output on the corpus.
+// Every field of traffic::Result -- stream classification, per-iteration
+// line rates, bands with their reuse levels and gaps, and the per-level
+// volumes -- is rendered with hexfloat doubles and hashed per unique
+// (machine, assembly) block.  The hashes in golden/traffic_results.tsv are
+// bit-exact: any change of any rate in the last ulp fails the test.
+//
+// On mismatch the test writes the current hashes to
+// traffic_results.actual.tsv in its working directory; if the change is
+// intentional, copy that file over the golden and say why in the commit.
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+
+#include "driver/predictor.hpp"
+#include "kernels/kernels.hpp"
+#include "support/hash.hpp"
+#include "support/strings.hpp"
+#include "traffic/traffic.hpp"
+
+using namespace incore;
+using support::format;
+
+namespace {
+
+std::string hexfloat(double d) { return format("%a", d); }
+
+/// Every field of the result, one token per value, doubles as hexfloat.
+std::string dump(const traffic::Result& r) {
+  std::string out;
+  for (const traffic::Stream& s : r.streams) {
+    out += format("stream %s %s %u %u %d %d %d %s %d %lld\n",
+                  traffic::to_string(s.kind), traffic::to_string(s.pattern),
+                  s.base_root, s.index_root, s.base_epoch, s.index_epoch,
+                  s.scale,
+                  s.stride_bytes ? format("%lld", *s.stride_bytes).c_str()
+                                 : "none",
+                  s.width_bits, s.span_bytes);
+    out += " accesses";
+    for (int a : s.accesses) out += format(" %d", a);
+    out += format("\n rates %s %s %s %s %s\n",
+                  hexfloat(s.lines_per_iter).c_str(),
+                  hexfloat(s.load_first_lines).c_str(),
+                  hexfloat(s.store_first_lines).c_str(),
+                  hexfloat(s.dirty_lines).c_str(),
+                  hexfloat(s.nt_store_line_ops).c_str());
+    for (const traffic::Band& b : s.bands) {
+      out += format(" band %lld %lld %s %d %d %s %s\n", b.lo, b.hi,
+                    hexfloat(b.lines_per_iter).c_str(), b.has_store ? 1 : 0,
+                    b.leading ? 1 : 0, hexfloat(b.gap_iterations).c_str(),
+                    traffic::to_string(b.reuse));
+    }
+  }
+  const traffic::Volumes& v = r.volumes;
+  for (double d : {v.l1_miss, v.l1_evict, v.l2_hit, v.l2_evict, v.l3_hit,
+                   v.mem_read, v.mem_write, v.claimed}) {
+    out += hexfloat(d) + " ";
+  }
+  out += format("\nexact %d unbounded %d hw_streams %d\n", r.exact ? 1 : 0,
+                r.unbounded_streams, r.hw_stream_count);
+  return out;
+}
+
+std::map<std::string, std::string> read_golden(const std::string& path) {
+  std::map<std::string, std::string> golden;
+  std::ifstream in(path);
+  std::string label;
+  std::string hash;
+  while (in >> label >> hash) golden[label] = hash;
+  return golden;
+}
+
+TEST(TrafficGolden, CorpusResultsAreBitIdentical) {
+  const std::map<std::string, std::string> golden =
+      read_golden(INCORE_TRAFFIC_GOLDEN);
+  ASSERT_FALSE(golden.empty()) << "missing golden " << INCORE_TRAFFIC_GOLDEN;
+
+  std::set<std::string> seen;
+  std::ostringstream actual;
+  std::size_t blocks = 0;
+  std::size_t mismatches = 0;
+  for (const kernels::Variant& v : kernels::test_matrix()) {
+    const driver::Block b = driver::make_block(v);
+    if (!seen.insert(b.hash).second) continue;
+    ++blocks;
+    const std::string text = dump(traffic::analyze(b.gen.program, *b.mm));
+    const std::string hash = support::hex64(support::fnv1a64(text));
+    actual << v.label() << '\t' << hash << '\n';
+    const auto it = golden.find(v.label());
+    if (it == golden.end() || it->second != hash) {
+      ++mismatches;
+      ADD_FAILURE() << v.label() << ": traffic result hash " << hash
+                    << " differs from the golden\n"
+                    << text;
+    }
+  }
+  EXPECT_EQ(blocks, golden.size());
+  if (mismatches > 0 || blocks != golden.size()) {
+    std::ofstream("traffic_results.actual.tsv") << actual.str();
+  }
+}
+
+}  // namespace

@@ -1,22 +1,31 @@
 // Static memory-traffic engine tests: golden stream-extraction fixtures on
 // all three parser frontends (AArch64, x86 AT&T, x86 Intel), analytic
-// volume checks against hand-derived rates, the VT lint family, and the
-// trace-simulator cross-validation -- including the explicitly attributed
-// corpus exceptions (the SPR jacobi-3d layer-condition boundary, the
-// Genoa jacobi-3d-27pt associativity conflict) and the symbolic-stride
-// skip path.
+// volume checks against hand-derived rates, a differential test of the
+// closed-form line rates against a brute-force replay oracle on generated
+// loop bodies, the VT lint family, and the trace-simulator
+// cross-validation -- including the explicitly attributed corpus
+// exceptions (the SPR jacobi-3d layer-condition boundary, the Genoa
+// jacobi-3d-27pt associativity conflict) and the symbolic-stride skip
+// path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <deque>
+#include <numeric>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "asmir/parser.hpp"
 #include "dataflow/dataflow.hpp"
 #include "driver/predictor.hpp"
 #include "kernels/kernels.hpp"
+#include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "traffic/crosscheck.hpp"
 #include "traffic/lints.hpp"
 #include "traffic/traffic.hpp"
@@ -162,6 +171,245 @@ TEST(TrafficStreams, PointerChaseX86Intel) {
   EXPECT_TRUE(vt008);
 }
 
+// ------------------------------------------------------- differential test
+// Reference oracle for the closed-form line rates, by brute force and
+// without any iteration cap: replay 3 x margin iterations of a stream's
+// byte footprint through a map of lines and classify the lines first
+// touched in the middle third; decide contiguity by sorting the byte
+// intervals of a window long enough to show an interior hole.
+
+struct OracleMember {
+  long long lo = 0;
+  long long width = 1;
+  bool is_load = false;
+  bool is_store = false;
+  bool nontemporal = false;
+};
+
+struct OracleRates {
+  double lines = 0;
+  double load_first = 0;
+  double store_first = 0;
+  double dirty = 0;
+  double nt_line_ops = 0;
+};
+
+constexpr long long kLine = 64;
+
+long long floor_div(long long a, long long b) {
+  return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+
+/// A whole number of line-coverage periods beyond the footprint's span.
+long long replay_margin(long long span, long long stride) {
+  const long long as = std::llabs(stride);
+  const long long period = kLine / std::gcd(as, kLine);
+  return (span / as + 1 + period + 8 + period - 1) / period * period;
+}
+
+OracleRates replay_rates(const std::vector<OracleMember>& members,
+                         long long stride, long long margin) {
+  struct LineState {
+    bool store_first = false;
+    bool dirty = false;
+    bool in_window = false;
+  };
+  std::unordered_map<long long, LineState> lines;
+  long long new_lines = 0;
+  long long store_first = 0;
+  long long dirty = 0;
+  long long nt_ops = 0;
+  for (long long i = 0; i < 3 * margin; ++i) {
+    const bool in_window = i >= margin && i < 2 * margin;
+    for (const OracleMember& m : members) {
+      const long long lo = m.lo + i * stride;
+      const long long l0 = floor_div(lo, kLine);
+      const long long l1 = floor_div(lo + m.width - 1, kLine);
+      if (m.nontemporal) {
+        if (in_window) nt_ops += l1 - l0 + 1;
+        continue;
+      }
+      for (long long l = l0; l <= l1; ++l) {
+        auto [it, fresh] = lines.try_emplace(l);
+        LineState& st = it->second;
+        if (fresh) {
+          st.store_first = m.is_store && !m.is_load;
+          st.in_window = in_window;
+          if (in_window) {
+            ++new_lines;
+            if (st.store_first) ++store_first;
+          }
+        }
+        if (m.is_store && !st.dirty) {
+          st.dirty = true;
+          if (st.in_window) ++dirty;
+        }
+      }
+    }
+  }
+  const double denom = static_cast<double>(margin);
+  OracleRates r;
+  r.lines = static_cast<double>(new_lines) / denom;
+  r.store_first = static_cast<double>(store_first) / denom;
+  r.load_first = r.lines - r.store_first;
+  r.dirty = static_cast<double>(dirty) / denom;
+  r.nt_line_ops = static_cast<double>(nt_ops) / denom;
+  return r;
+}
+
+bool covers_contiguously(const std::vector<OracleMember>& members,
+                         long long stride, long long span) {
+  const long long as = std::llabs(stride);
+  const long long iters = 2 * (span / as + 1) + 16;
+  std::vector<std::pair<long long, long long>> ivals;
+  ivals.reserve(static_cast<std::size_t>(iters) * members.size());
+  for (long long i = 0; i < iters; ++i) {
+    for (const OracleMember& m : members) {
+      const long long lo = m.lo + i * stride;
+      ivals.emplace_back(lo, lo + m.width);
+    }
+  }
+  std::sort(ivals.begin(), ivals.end());
+  // Interior holes only: the ends of the window are ragged by construction.
+  const long long guard = span + as;
+  const long long lo_guard = ivals.front().first + guard;
+  const long long hi_guard = ivals.back().second - guard;
+  long long cursor = ivals.front().first;
+  for (const auto& [lo, hi] : ivals) {
+    if (lo > cursor && cursor >= lo_guard && lo <= hi_guard) return false;
+    cursor = std::max(cursor, hi);
+  }
+  return true;
+}
+
+std::vector<OracleMember> oracle_members(const traffic::Stream& s,
+                                         const dataflow::Analysis& df) {
+  std::vector<OracleMember> members;
+  for (int ai : s.accesses) {
+    const dataflow::MemAccess& a = df.accesses[static_cast<std::size_t>(ai)];
+    OracleMember m;
+    m.lo = a.effective_displacement();
+    m.width = std::max(a.width_bits / 8, 1);
+    m.is_load = a.is_load;
+    m.is_store = a.is_store;
+    m.nontemporal =
+        a.is_store && traffic::is_nontemporal_store(
+                          df.prog->code[static_cast<std::size_t>(a.instr)]
+                              .mnemonic,
+                          df.prog->isa);
+    members.push_back(m);
+  }
+  return members;
+}
+
+/// A random x86 loop body: up to three base registers, each advancing by
+/// its own stride of either sign, carrying loads, stores, read-modify-write
+/// and non-temporal stores of 8-64 bytes at displacements that straddle
+/// lines and cluster into one to three bands.  A `huge` body puts two
+/// accesses more than 8 MiB apart at stride 8 (span/stride above 2^20
+/// iterations).
+std::string random_body(support::Rng& rng, bool huge) {
+  using support::format;
+  static constexpr const char* kBases[] = {"rax", "rbx", "rcx"};
+  static constexpr long long kStrides[] = {4,  8,  12, 16,  24,  32,  40,  48,
+                                           56, 64, 72, 96, 128, 136, 256, 1000};
+  static constexpr long long kSpacings[] = {0, 72, 520, 4096, 40000};
+  static constexpr const char* kVec[] = {"xmm0", "xmm1", "ymm2", "zmm3"};
+  std::string out;
+  const int streams = huge ? 1 : 1 + static_cast<int>(rng.below(3));
+  for (int si = 0; si < streams; ++si) {
+    const char* base = kBases[si];
+    long long stride = huge ? 8 : kStrides[rng.below(std::size(kStrides))];
+    if (rng.below(2) != 0) stride = -stride;
+    const long long spacing =
+        huge ? (9ll << 20) + static_cast<long long>(rng.below(4096))
+             : kSpacings[rng.below(std::size(kSpacings))];
+    const int members = huge ? 2 : 1 + static_cast<int>(rng.below(6));
+    for (int mi = 0; mi < members; ++mi) {
+      const long long band = huge ? mi : static_cast<long long>(rng.below(3));
+      const long long disp =
+          band * spacing + static_cast<long long>(rng.below(200)) - 64;
+      const std::size_t w = rng.below(4);  // 8 << w bytes
+      const std::string mem = format("%lld(%%%s)", disp, base);
+      switch (rng.below(10)) {
+        case 6:
+        case 7:
+          out += format("%s %%%s, %s\n", w == 0 ? "vmovsd" : "vmovupd",
+                        kVec[w], mem.c_str());
+          break;
+        case 8:
+          out += format("addq %%r8, %s\n", mem.c_str());
+          break;
+        case 9:
+          out += w == 0 ? format("movnti %%r8, %s\n", mem.c_str())
+                        : format("%s %%%s, %s\n",
+                                 w == 1 ? "movntpd" : "vmovntpd", kVec[w],
+                                 mem.c_str());
+          break;
+        default:
+          out += format("%s %s, %%%s\n", w == 0 ? "vmovsd" : "vmovupd",
+                        mem.c_str(), kVec[w]);
+      }
+    }
+    out += format("%s $%lld, %%%s\n", stride > 0 ? "addq" : "subq",
+                  std::llabs(stride), base);
+  }
+  return out;
+}
+
+TEST(TrafficDifferential, ClosedFormMatchesReplayOracle) {
+  support::Rng rng(0x7aff1cull);
+  int streams = 0;
+  int strided = 0;
+  int multi_band = 0;
+  int huge_span = 0;
+  for (int body = 0; body < 320; ++body) {
+    const std::string text = random_body(rng, body < 3);
+    SCOPED_TRACE(text);
+    const asmir::Program prog = asmir::parse(text, Isa::X86_64);
+    const dataflow::Analysis df = dataflow::analyze(prog);
+    for (const traffic::Stream& s : traffic::extract_streams(df)) {
+      ASSERT_TRUE(s.stride_bytes.has_value());
+      const long long stride = *s.stride_bytes;
+      ASSERT_NE(stride, 0);
+      const std::vector<OracleMember> members = oracle_members(s, df);
+      const OracleRates want =
+          replay_rates(members, stride, replay_margin(s.span_bytes, stride));
+      EXPECT_EQ(s.lines_per_iter, want.lines);
+      EXPECT_EQ(s.load_first_lines, want.load_first);
+      EXPECT_EQ(s.store_first_lines, want.store_first);
+      EXPECT_EQ(s.dirty_lines, want.dirty);
+      EXPECT_EQ(s.nt_store_line_ops, want.nt_line_ops);
+      for (const traffic::Band& b : s.bands) {
+        if (b.leading) {
+          EXPECT_EQ(b.lines_per_iter, want.lines);
+          continue;
+        }
+        std::vector<OracleMember> band;
+        for (const OracleMember& m : members) {
+          if (m.lo >= b.lo && m.lo < b.hi) band.push_back(m);
+        }
+        EXPECT_EQ(b.lines_per_iter,
+                  replay_rates(band, stride, replay_margin(b.hi - b.lo, stride))
+                      .lines)
+            << "band [" << b.lo << ", " << b.hi << ")";
+      }
+      EXPECT_EQ(s.pattern, covers_contiguously(members, stride, s.span_bytes)
+                               ? Pattern::UnitStride
+                               : Pattern::Strided);
+      ++streams;
+      strided += s.pattern == Pattern::Strided;
+      multi_band += s.bands.size() > 1;
+      huge_span += s.span_bytes > (8ll << 20);
+    }
+  }
+  EXPECT_GE(streams, 300);
+  EXPECT_GE(strided, 100);
+  EXPECT_GE(streams - strided, 100);
+  EXPECT_GE(multi_band, 100);
+  EXPECT_EQ(huge_span, 3);
+}
+
 // ---------------------------------------------------------------- lints
 
 TEST(TrafficLints, NonTemporalStoreDetection) {
@@ -215,6 +463,41 @@ TEST(TrafficCrosscheck, StreamTriadAgreesExactly) {
     EXPECT_TRUE(q.within) << q.name;
   }
   EXPECT_LE(c.max_rel_error, 0.05);
+}
+
+// Write-back belongs to the residency in which a store touched the line.
+// The leading band (+4000000) only loads; its lines leave the hierarchy
+// clean.  The [0, 16) band re-reads them from memory ~500k iterations
+// later and the store at +8 dirties them: one write-back per line, not two.
+constexpr const char* kFarBandRmwAtt = R"(
+.L2:
+  vmovsd (%rax), %xmm0
+  vmovsd 4000000(%rax), %xmm1
+  vaddsd %xmm1, %xmm0, %xmm0
+  vmovsd %xmm0, 8(%rax)
+  addq $8, %rax
+  cmpq %rdx, %rax
+  jne .L2
+)";
+
+TEST(TrafficCrosscheck, FarBandWriteBackCountedOnce) {
+  const auto& mm = uarch::machine(uarch::Micro::GoldenCove);
+  const asmir::Program& prog = keep(asmir::parse(kFarBandRmwAtt, Isa::X86_64));
+  const traffic::Result r = traffic::analyze(prog, mm);
+  ASSERT_EQ(r.streams.size(), 1u);
+  ASSERT_EQ(r.streams[0].bands.size(), 2u);
+  EXPECT_EQ(r.streams[0].bands[1].reuse, traffic::ReuseLevel::Memory);
+  EXPECT_EQ(r.streams[0].dirty_lines, 0.0);
+  EXPECT_EQ(r.volumes.mem_read, 0.25);
+  EXPECT_EQ(r.volumes.mem_write, 0.125);
+
+  const traffic::Crosscheck c = traffic::crosscheck(prog, mm);
+  EXPECT_FALSE(c.skipped);
+  EXPECT_TRUE(c.ok);
+  EXPECT_TRUE(c.attributions.empty());
+  for (const traffic::Quantity& q : c.quantities) {
+    EXPECT_TRUE(q.within) << q.name;
+  }
 }
 
 // Pinned corpus exception: SVE codegen advances bases by `incb` -- a
