@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "dataflow/dataflow.hpp"
-#include "memsim/cachesim.hpp"
 #include "memsim/memsim.hpp"
 #include "memsim/multicore.hpp"
 #include "support/strings.hpp"
@@ -161,48 +160,25 @@ ScalingCheck crosscheck_scaling(const asmir::Program& prog,
     return c;
   }
   {
-    memsim::CacheHierarchy hier = memsim::CacheHierarchy::for_model(mm);
-    const int line = mm.cache.line_bytes;
-    const long long warmup = layout.warmup_iterations;
-    const long long total = warmup + layout.measure_iterations;
-    std::uint64_t mem_begin = 0;
-    for (long long i = 0; i < total; ++i) {
-      if (i == warmup) {
-        mem_begin = hier.memory().lines_read + hier.memory().lines_written;
-      }
-      for (const traffic::LayoutOp& op : layout.ops) {
-        const long long lo = op.lo + i * op.stride;
-        const long long l0 = traffic::floor_div(lo, line);
-        const long long l1 = traffic::floor_div(lo + op.width - 1, line);
-        for (long long l = l0; l <= l1; ++l) {
-          const auto addr = static_cast<std::uint64_t>(l * line);
-          if (op.nontemporal) {
-            hier.store(addr, memsim::StoreKind::NonTemporal);
-            continue;
-          }
-          if (op.is_load) hier.load(addr);
-          if (op.is_store) hier.store(addr, memsim::StoreKind::Standard);
-        }
-      }
-    }
-    const std::uint64_t mem_end =
-        hier.memory().lines_read + hier.memory().lines_written;
-    c.trace_mem_lines = static_cast<double>(mem_end - mem_begin) /
+    const traffic::ReplayCounters d = traffic::replay(layout, mm);
+    c.trace_mem_lines = static_cast<double>(d.mem_read + d.mem_write) /
                         static_cast<double>(layout.measure_iterations);
     c.replay_ran = true;
+    c.warmup_iterations = layout.warmup_iterations;
+    c.capped = layout.capped;
 
     const double diff = std::fabs(c.trace_mem_lines - c.static_mem_lines);
     const double scale =
         std::max(std::fabs(c.trace_mem_lines), std::fabs(c.static_mem_lines));
     if (scale > 0 && diff > opt.tolerance * scale) {
       const double rel = diff / scale;
-      if (layout.capped) {
+      if (c.capped) {
         c.causes.push_back(ScalingCause::TransferOverlapMismatch);
         c.details.push_back(format(
             "memory-boundary volume: ECM charges %.3f lines/iter, replay "
             "metered %.3f (warmup truncated at %lld iterations; steady "
             "state not reached)",
-            c.static_mem_lines, c.trace_mem_lines, warmup));
+            c.static_mem_lines, c.trace_mem_lines, c.warmup_iterations));
       } else if (tr.volumes.claimed > 0) {
         c.causes.push_back(ScalingCause::WriteAllocateEvasionMispredicted);
         c.details.push_back(format(

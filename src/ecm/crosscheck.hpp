@@ -94,6 +94,8 @@ struct ScalingCheck {
   double static_mem_lines = 0;   // what the composition charges
   double trace_mem_lines = 0;    // trace-simulator replay measurement
   bool replay_ran = false;
+  long long warmup_iterations = 0;  // replay warmup before the window
+  bool capped = false;  // max_total_iterations truncated the warmup
   /// Attributed divergences, with human-readable details (parallel).
   std::vector<ScalingCause> causes;
   std::vector<std::string> details;

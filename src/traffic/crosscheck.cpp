@@ -2,41 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <map>
-#include <set>
 
 #include "dataflow/dataflow.hpp"
-#include "memsim/cachesim.hpp"
 #include "memsim/memsim.hpp"
 #include "support/strings.hpp"
 #include "traffic/layout.hpp"
 
 namespace incore::traffic {
 
-namespace {
-
 using support::format;
-
-struct Snapshot {
-  std::uint64_t l1_miss, l1_evict, l2_hit, l2_evict, l3_hit;
-  std::uint64_t mem_read, mem_write, claimed;
-};
-
-[[nodiscard]] Snapshot snap(const memsim::CacheHierarchy& h) {
-  Snapshot s{};
-  s.l1_miss = h.level(0).stats().misses;
-  s.l1_evict = h.level(0).stats().evictions;
-  s.l2_hit = h.level(1).stats().hits;
-  s.l2_evict = h.level(1).stats().evictions;
-  s.l3_hit = h.level(2).stats().hits;
-  s.mem_read = h.memory().lines_read;
-  s.mem_write = h.memory().lines_written;
-  s.claimed = h.claimed_lines();
-  return s;
-}
-
-}  // namespace
 
 const char* to_string(Attribution a) {
   switch (a) {
@@ -59,7 +33,6 @@ Crosscheck crosscheck(const asmir::Program& prog,
   c.statics = analyze(prog, mm);
   const Result& r = c.statics;
   const dataflow::Analysis df = dataflow::analyze(prog);
-  const int line = mm.cache.line_bytes;
 
   // Unknowable layouts: skip with attribution instead of simulating a
   // layout the static model never claimed to predict.
@@ -82,52 +55,23 @@ Crosscheck crosscheck(const asmir::Program& prog,
     c.skipped = true;
     return c;
   }
-  const bool capped = layout.capped;
-  const double agg_sweep_bytes = layout.agg_sweep_bytes;
-  const std::vector<LayoutOp>& ops = layout.ops;
-  const long long warmup = layout.warmup_iterations;
-  const long long measure = layout.measure_iterations;
-  const long long total = warmup + measure;
-  c.warmup_iterations = warmup;
-  c.measured_iterations = measure;
-
-  // --- replay: each access expands to one simulator call per touched
-  // line (the simulator's load/store process exactly one line). ---
-  memsim::CacheHierarchy hier = memsim::CacheHierarchy::for_model(mm);
-  Snapshot begin{};
-  for (long long i = 0; i < total; ++i) {
-    if (i == warmup) begin = snap(hier);
-    for (const LayoutOp& op : ops) {
-      const long long lo = op.lo + i * op.stride;
-      const long long l0 = floor_div(lo, line);
-      const long long l1 = floor_div(lo + op.width - 1, line);
-      for (long long l = l0; l <= l1; ++l) {
-        const auto addr = static_cast<std::uint64_t>(l * line);
-        if (op.nontemporal) {
-          hier.store(addr, memsim::StoreKind::NonTemporal);
-          continue;
-        }
-        if (op.is_load) hier.load(addr);
-        if (op.is_store) hier.store(addr, memsim::StoreKind::Standard);
-      }
-    }
-  }
-  // No drain: the window deltas are the steady-state rates.
-  const Snapshot end = snap(hier);
-  const double m = static_cast<double>(measure);
+  c.warmup_iterations = layout.warmup_iterations;
+  c.measured_iterations = layout.measure_iterations;
+  c.capped = layout.capped;
+  // --- replay; the measured window's deltas are the simulated rates. ---
+  const ReplayCounters d = replay(layout, mm);
+  const double m = static_cast<double>(layout.measure_iterations);
   const Volumes& v = r.volumes;
-  auto rate = [&](std::uint64_t b, std::uint64_t e) {
-    return static_cast<double>(e - b) / m;
-  };
+  auto rate = [&](std::uint64_t n) { return static_cast<double>(n) / m; };
   c.quantities = {
-      {"l1_miss", v.l1_miss, rate(begin.l1_miss, end.l1_miss), true},
-      {"l1_evict", v.l1_evict, rate(begin.l1_evict, end.l1_evict), true},
-      {"l2_hit", v.l2_hit, rate(begin.l2_hit, end.l2_hit), true},
-      {"l2_evict", v.l2_evict, rate(begin.l2_evict, end.l2_evict), true},
-      {"l3_hit", v.l3_hit, rate(begin.l3_hit, end.l3_hit), true},
-      {"mem_read", v.mem_read, rate(begin.mem_read, end.mem_read), true},
-      {"mem_write", v.mem_write, rate(begin.mem_write, end.mem_write), true},
-      {"claimed", v.claimed, rate(begin.claimed, end.claimed), true},
+      {"l1_miss", v.l1_miss, rate(d.l1_miss), true},
+      {"l1_evict", v.l1_evict, rate(d.l1_evict), true},
+      {"l2_hit", v.l2_hit, rate(d.l2_hit), true},
+      {"l2_evict", v.l2_evict, rate(d.l2_evict), true},
+      {"l3_hit", v.l3_hit, rate(d.l3_hit), true},
+      {"mem_read", v.mem_read, rate(d.mem_read), true},
+      {"mem_write", v.mem_write, rate(d.mem_write), true},
+      {"claimed", v.claimed, rate(d.claimed), true},
   };
 
   bool diverged = false;
@@ -143,7 +87,7 @@ Crosscheck crosscheck(const asmir::Program& prog,
   if (!diverged) return c;
 
   // --- attribution ---
-  if (capped) c.attributions.push_back(Attribution::WindowCapped);
+  if (c.capped) c.attributions.push_back(Attribution::WindowCapped);
   // Cross-stream must-overlap: the static volumes double-count what the
   // synthesized disjoint layout cannot reproduce.
   bool overlap = false;
@@ -163,47 +107,11 @@ Crosscheck crosscheck(const asmir::Program& prog,
     }
   }
   if (overlap) c.attributions.push_back(Attribution::AliasResolution);
-  // Reuse distance near a capacity edge: the serving level can flip.
-  const double caps[] = {static_cast<double>(mm.cache.l1_bytes),
-                         static_cast<double>(mm.cache.l1_bytes) +
-                             static_cast<double>(mm.cache.l2_bytes),
-                         static_cast<double>(mm.cache.l1_bytes) +
-                             static_cast<double>(mm.cache.l2_bytes) +
-                             static_cast<double>(mm.cache.l3_bytes)};
-  bool boundary = false;
-  for (const Stream& s : r.streams) {
-    for (const Band& b : s.bands) {
-      if (b.leading) continue;
-      const double reuse = b.gap_iterations * agg_sweep_bytes;
-      for (double cap : caps) {
-        if (reuse >= 0.7 * cap && reuse <= 1.4 * cap) boundary = true;
-      }
-    }
+  if (near_capacity_edge(r, layout, mm)) {
+    c.attributions.push_back(Attribution::LayerConditionBoundary);
   }
-  if (boundary) c.attributions.push_back(Attribution::LayerConditionBoundary);
-  // Associativity conflicts: the layer condition reasons about capacity as
-  // if L1 were fully associative.  When the concurrently-live lines of the
-  // replayed layout alias to one L1 set beyond its ways (e.g. stencil rows
-  // a power-of-two apart), intra-line reuse thrashes between L1 and L2 and
-  // the static model undercounts L1 misses.  The band offsets causing this
-  // come from the code, not the synthesized bases, so the attribution
-  // transfers to any real layout with the same geometry.
-  {
-    const int ways = mm.cache.l1_ways;
-    const long long sets = std::max<long long>(
-        mm.cache.l1_bytes / (static_cast<long long>(line) * ways), 1);
-    std::map<long long, std::set<long long>> live;  // set index -> lines
-    for (const LayoutOp& op : ops) {
-      const long long l0 = op.lo / line;
-      const long long l1 = (op.lo + op.width - 1) / line;
-      for (long long l = l0; l <= l1; ++l) live[l % sets].insert(l);
-    }
-    for (const auto& [set_index, lines_in_set] : live) {
-      if (static_cast<long long>(lines_in_set.size()) > ways) {
-        c.attributions.push_back(Attribution::AssociativityConflict);
-        break;
-      }
-    }
+  if (l1_set_conflict(layout, mm)) {
+    c.attributions.push_back(Attribution::AssociativityConflict);
   }
   // Store-side divergence on a claim-detecting machine.
   if (memsim::preset(mm.micro()).wa == memsim::WaMechanism::AutomaticClaim) {

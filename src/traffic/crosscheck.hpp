@@ -75,6 +75,8 @@ struct Crosscheck {
   bool ok = true;
   long long warmup_iterations = 0;
   long long measured_iterations = 0;
+  /// True when max_total_iterations truncated the warmup.
+  bool capped = false;
 };
 
 /// Runs the full cross-validation of `prog` on `mm`.

@@ -1,7 +1,10 @@
 #include "traffic/layout.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <map>
+#include <set>
+
+#include "memsim/cachesim.hpp"
 
 namespace incore::traffic {
 
@@ -27,26 +30,23 @@ SyntheticLayout synthesize_layout(const Result& r,
   if (df.accesses.empty()) return out;
 
   // Warmup sizing: fill 1.5x the combined capacity at the aggregate
-  // leading-edge rate, plus the longest intra-stream span and slack.
+  // leading-edge rate, plus slack.  No stream-span term: a reuse across a
+  // band gap can hit only if the gap's footprint fits the hierarchy, and
+  // the fill term already makes such a footprint resident.
   double agg_bytes = 0;  // leading-edge fill rate
-  long long max_span_iters = 0;
   for (const Stream& s : r.streams) {
     agg_bytes += s.lines_per_iter * line;
     double stream_bytes = 0;
     for (const Band& b : s.bands) stream_bytes += b.lines_per_iter;
     if (s.bands.empty()) stream_bytes = s.lines_per_iter;
     out.agg_sweep_bytes += stream_bytes * line;
-    const long long as = std::llabs(s.stride_bytes.value_or(0));
-    if (as > 0) max_span_iters = std::max(max_span_iters, s.span_bytes / as);
   }
   const double c123 = static_cast<double>(mm.cache.l1_bytes) +
                       static_cast<double>(mm.cache.l2_bytes) +
                       static_cast<double>(mm.cache.l3_bytes);
   long long warmup =
-      agg_bytes > 0
-          ? static_cast<long long>(1.5 * c123 / agg_bytes) + max_span_iters +
-                1024
-          : max_span_iters + 1024;
+      (agg_bytes > 0 ? static_cast<long long>(1.5 * c123 / agg_bytes) : 0) +
+      1024;
   if (warmup + measure_iterations > max_total_iterations) {
     warmup = std::max<long long>(max_total_iterations - measure_iterations,
                                  1024);
@@ -99,6 +99,91 @@ SyntheticLayout synthesize_layout(const Result& r,
   }
   out.ok = true;
   return out;
+}
+
+bool near_capacity_edge(const Result& r, const SyntheticLayout& layout,
+                        const uarch::MachineModel& mm) {
+  const double caps[] = {static_cast<double>(mm.cache.l1_bytes),
+                         static_cast<double>(mm.cache.l1_bytes) +
+                             static_cast<double>(mm.cache.l2_bytes),
+                         static_cast<double>(mm.cache.l1_bytes) +
+                             static_cast<double>(mm.cache.l2_bytes) +
+                             static_cast<double>(mm.cache.l3_bytes)};
+  for (const Stream& s : r.streams) {
+    for (const Band& b : s.bands) {
+      if (b.leading) continue;
+      const double reuse = b.gap_iterations * layout.agg_sweep_bytes;
+      for (double cap : caps) {
+        if (reuse >= 0.7 * cap && reuse <= 1.4 * cap) return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool l1_set_conflict(const SyntheticLayout& layout,
+                     const uarch::MachineModel& mm) {
+  const int line = mm.cache.line_bytes;
+  const int ways = mm.cache.l1_ways;
+  const long long sets = std::max<long long>(
+      mm.cache.l1_bytes / (static_cast<long long>(line) * ways), 1);
+  std::map<long long, std::set<long long>> live;  // set index -> lines
+  for (const LayoutOp& op : layout.ops) {
+    const long long l0 = op.lo / line;
+    const long long l1 = (op.lo + op.width - 1) / line;
+    for (long long l = l0; l <= l1; ++l) live[l % sets].insert(l);
+  }
+  for (const auto& [set_index, lines_in_set] : live) {
+    if (static_cast<long long>(lines_in_set.size()) > ways) return true;
+  }
+  return false;
+}
+
+namespace {
+
+/// Floored division (negative strides walk regions downward).
+[[nodiscard]] long long floor_div(long long a, long long b) {
+  return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+
+[[nodiscard]] ReplayCounters counters(const memsim::CacheHierarchy& h) {
+  return {h.level(0).stats().misses, h.level(0).stats().evictions,
+          h.level(1).stats().hits,   h.level(1).stats().evictions,
+          h.level(2).stats().hits,   h.memory().lines_read,
+          h.memory().lines_written,  h.claimed_lines()};
+}
+
+}  // namespace
+
+ReplayCounters replay(const SyntheticLayout& layout,
+                      const uarch::MachineModel& mm) {
+  memsim::CacheHierarchy hier = memsim::CacheHierarchy::for_model(mm);
+  const int line = mm.cache.line_bytes;
+  const long long warmup = layout.warmup_iterations;
+  const long long total = warmup + layout.measure_iterations;
+  ReplayCounters begin;
+  for (long long i = 0; i < total; ++i) {
+    if (i == warmup) begin = counters(hier);
+    for (const LayoutOp& op : layout.ops) {
+      const long long lo = op.lo + i * op.stride;
+      const long long l0 = floor_div(lo, line);
+      const long long l1 = floor_div(lo + op.width - 1, line);
+      for (long long l = l0; l <= l1; ++l) {
+        const auto addr = static_cast<std::uint64_t>(l * line);
+        if (op.nontemporal) {
+          hier.store(addr, memsim::StoreKind::NonTemporal);
+          continue;
+        }
+        if (op.is_load) hier.load(addr);
+        if (op.is_store) hier.store(addr, memsim::StoreKind::Standard);
+      }
+    }
+  }
+  const ReplayCounters end = counters(hier);
+  return {end.l1_miss - begin.l1_miss,     end.l1_evict - begin.l1_evict,
+          end.l2_hit - begin.l2_hit,       end.l2_evict - begin.l2_evict,
+          end.l3_hit - begin.l3_hit,       end.mem_read - begin.mem_read,
+          end.mem_write - begin.mem_write, end.claimed - begin.claimed};
 }
 
 }  // namespace incore::traffic

@@ -1,16 +1,18 @@
 #pragma once
-// Synthetic address layouts for trace-simulator replay.
+// Synthetic address layouts and their trace-simulator replay.
 //
 // Both cross-validation engines — the traffic crosscheck (VP011,
 // crosscheck.hpp) and the ECM scaling crosscheck (src/ecm/crosscheck.hpp)
 // — need to turn the statically reconstructed streams into concrete
 // addresses the cache simulator can walk: disjoint multi-MiB regions per
 // stream, staggered by a non-power-of-two line count so the streams land
-// on decorrelated cache sets.  This helper owns that synthesis (hoisted
-// out of crosscheck.cpp when the ECM side grew its own replay) plus the
-// warmup sizing: enough iterations to fill 1.5x the combined cache
-// capacity, bounded by a hard cap so huge-L3 machines stay tractable.
+// on decorrelated cache sets.  This helper owns that synthesis, the
+// warmup sizing (enough iterations to fill 1.5x the combined cache
+// capacity, bounded by a hard cap so huge-L3 machines stay tractable; see
+// docs/traffic.md for why residency, not stream span, bounds it) and the
+// one replay loop both engines meter.
 
+#include <cstdint>
 #include <vector>
 
 #include "asmir/ir.hpp"
@@ -52,9 +54,41 @@ struct SyntheticLayout {
     const uarch::MachineModel& mm, long long measure_iterations,
     long long max_total_iterations);
 
-/// Floored division (negative strides walk regions downward).
-[[nodiscard]] inline long long floor_div(long long a, long long b) {
-  return a >= 0 ? a / b : -((-a + b - 1) / b);
-}
+/// Reuse distance near a capacity edge: true when a non-leading band of
+/// `r` reuses lines across a footprint within 0.7-1.4x of L1, L1+L2 or
+/// L1+L2+L3.  The serving level can flip either way there, and the replay
+/// settles in a state that depends on its history.
+[[nodiscard]] bool near_capacity_edge(const Result& r,
+                                      const SyntheticLayout& layout,
+                                      const uarch::MachineModel& mm);
+
+/// Associativity conflict: true when the concurrently-live lines of one
+/// layout iteration alias one L1 set beyond its ways.  The layer condition
+/// reasons about capacity as if L1 were fully associative; here (e.g.
+/// stencil rows a power-of-two apart) intra-line reuse thrashes between L1
+/// and L2.  The band offsets causing this come from the code, not the
+/// synthesized bases, so the verdict transfers to any real layout with the
+/// same geometry.
+[[nodiscard]] bool l1_set_conflict(const SyntheticLayout& layout,
+                                   const uarch::MachineModel& mm);
+
+/// Hierarchy events the crosschecks compare, counted over a replay's
+/// measured window.
+struct ReplayCounters {
+  std::uint64_t l1_miss = 0, l1_evict = 0, l2_hit = 0, l2_evict = 0,
+                l3_hit = 0;
+  std::uint64_t mem_read = 0, mem_write = 0, claimed = 0;
+
+  bool operator==(const ReplayCounters&) const = default;
+};
+
+/// Replays `layout.warmup_iterations` then `layout.measure_iterations`
+/// iterations of `layout.ops` through a fresh
+/// memsim::CacheHierarchy::for_model(mm) and returns the counters at the
+/// end of the measured window minus those at its start.  Each access
+/// expands to one simulator call per touched line.  There is no drain:
+/// the window's counts are the steady-state rates.  `layout` must be ok.
+[[nodiscard]] ReplayCounters replay(const SyntheticLayout& layout,
+                                    const uarch::MachineModel& mm);
 
 }  // namespace incore::traffic

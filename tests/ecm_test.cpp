@@ -1,13 +1,21 @@
 // Tests for the Execution-Cache-Memory composition (the paper's stated
 // future work): in-core split, transfer terms, data-location monotonicity,
-// write-allocate handling and the saturation law.
+// write-allocate handling and the saturation law, plus the VP014 replay of
+// the memory-boundary volume and its warmup cap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "asmir/parser.hpp"
+#include "ecm/crosscheck.hpp"
 #include "ecm/ecm.hpp"
 #include "kernels/kernels.hpp"
 #include "memsim/memsim.hpp"
 #include "power/power.hpp"
+#include "traffic/crosscheck.hpp"
 #include "uarch/model.hpp"
 
 using namespace incore;
@@ -232,4 +240,95 @@ TEST(EcmScaling, GoldenCurvesOneKernelPerFamily) {
     EXPECT_NEAR(p.multicore_cycles(h.socket_cores, h), g.c_sat, 1e-9)
         << to_string(g.micro);
   }
+}
+
+// ------------------------------------------------------- VP014 replay
+
+TEST(EcmCrosscheck, StreamTriadReplayMatchesStaticVolume) {
+  const ecm::ScalingOptions opt;
+  for (Micro m : uarch::all_micros()) {
+    const kernels::Variant v{Kernel::StreamTriad,
+                             kernels::compilers_for(m).front(), OptLevel::O3,
+                             m};
+    const kernels::GeneratedKernel g = kernels::generate(v);
+    const ecm::ScalingCheck c =
+        ecm::crosscheck_scaling(g.program, uarch::machine(m), opt);
+    EXPECT_FALSE(c.skipped) << to_string(m);
+    EXPECT_TRUE(c.replay_ran) << to_string(m);
+    EXPECT_FALSE(c.capped) << to_string(m);
+    const double scale =
+        std::max(std::fabs(c.trace_mem_lines), std::fabs(c.static_mem_lines));
+    EXPECT_GT(scale, 0) << to_string(m);
+    EXPECT_LE(std::fabs(c.trace_mem_lines - c.static_mem_lines),
+              opt.tolerance * scale)
+        << to_string(m);
+  }
+}
+
+// VP011 and VP014 size their warmup with the same rule; they differ only
+// in the measured window and the cap, so an uncapped block warms up for
+// the same number of iterations in both.
+TEST(EcmCrosscheck, UncappedWarmupMatchesTrafficCrosscheck) {
+  const kernels::GeneratedKernel g = kernels::generate(triad(Micro::Zen4));
+  const uarch::MachineModel& mm = uarch::machine(Micro::Zen4);
+  const ecm::ScalingCheck e = ecm::crosscheck_scaling(g.program, mm);
+  const traffic::Crosscheck t = traffic::crosscheck(g.program, mm);
+  ASSERT_TRUE(e.replay_ran);
+  ASSERT_FALSE(t.skipped);
+  EXPECT_FALSE(e.capped);
+  EXPECT_FALSE(t.capped);
+  EXPECT_GT(e.warmup_iterations, 1024);
+  EXPECT_EQ(e.warmup_iterations, t.warmup_iterations);
+}
+
+// VP014's cap: the Genoa sum reduction reads one 8-byte stream, so the
+// 1.5 x 13 MiB fill needs more than 1 << 21 iterations.  The truncated
+// warmup still reaches the streaming steady state: the replayed volume
+// agrees and no memory-boundary cause is raised.
+TEST(EcmCrosscheck, GenoaSumO1CapsWarmupAndAgrees) {
+  const kernels::GeneratedKernel g = kernels::generate(
+      {Kernel::SumReduction, Compiler::Gcc, OptLevel::O1, Micro::Zen4});
+  const ecm::ScalingOptions opt;
+  const ecm::ScalingCheck c =
+      ecm::crosscheck_scaling(g.program, uarch::machine(Micro::Zen4), opt);
+  EXPECT_TRUE(c.replay_ran);
+  EXPECT_TRUE(c.capped);
+  EXPECT_EQ(c.warmup_iterations,
+            opt.max_total_iterations - opt.measure_iterations);
+  EXPECT_DOUBLE_EQ(c.trace_mem_lines, c.static_mem_lines);
+  EXPECT_TRUE(c.ok);
+  for (ecm::ScalingCause cause : c.causes) {
+    EXPECT_NE(cause, ecm::ScalingCause::TransferOverlapMismatch);
+  }
+}
+
+// A load band 64 KiB ahead of a stride-8 stream is reused 8192
+// iterations later from L2.  A cap that leaves a 2048-iteration warmup never reaches
+// that reuse: the replay meters the trailing band as memory reads, and the
+// divergence is attributed to the truncated warmup, not failed.
+TEST(EcmCrosscheck, TruncatedWarmupDivergenceAttributed) {
+  const asmir::Program prog = asmir::parse(R"(
+.L4:
+  vmovsd (%rax), %xmm0
+  vaddsd 65536(%rax), %xmm0, %xmm0
+  addq $8, %rax
+  cmpq %rdx, %rax
+  jne .L4
+)",
+                                           asmir::Isa::X86_64);
+  ecm::ScalingOptions opt;
+  opt.max_total_iterations = 4096;
+  const ecm::ScalingCheck c =
+      ecm::crosscheck_scaling(prog, uarch::machine(Micro::Zen4), opt);
+  EXPECT_TRUE(c.replay_ran);
+  EXPECT_TRUE(c.capped);
+  EXPECT_EQ(c.warmup_iterations, 2048);
+  EXPECT_GT(c.trace_mem_lines, c.static_mem_lines);
+  EXPECT_TRUE(c.ok);
+  bool truncated = false;
+  for (std::size_t i = 0; i < c.causes.size(); ++i) {
+    truncated |= c.causes[i] == ecm::ScalingCause::TransferOverlapMismatch &&
+                 c.details[i].find("warmup truncated") != std::string::npos;
+  }
+  EXPECT_TRUE(truncated);
 }
