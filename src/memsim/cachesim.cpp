@@ -176,33 +176,6 @@ double CacheHierarchy::store_stream_ratio(std::uint64_t base,
   return stored > 0 ? traffic / stored : 0.0;
 }
 
-CacheHierarchy CacheHierarchy::for_machine(uarch::Micro micro) {
-  CacheConfig l1, l2, l3;
-  WaMechanism wa = preset(micro).wa;
-  switch (micro) {
-    case uarch::Micro::NeoverseV2:
-      l1 = {64 * 1024, 4, 64};
-      l2 = {1024 * 1024, 8, 64};
-      l3 = {114ull * 1024 * 1024 / 72, 12, 64};  // per-core share
-      break;
-    case uarch::Micro::GoldenCove:
-      l1 = {48 * 1024, 12, 64};
-      l2 = {2 * 1024 * 1024, 16, 64};
-      l3 = {105ull * 1024 * 1024 / 52, 15, 64};
-      break;
-    case uarch::Micro::Zen4:
-      l1 = {32 * 1024, 8, 64};
-      l2 = {1024 * 1024, 8, 64};
-      l3 = {1152ull * 1024 * 1024 / 96, 16, 64};
-      break;
-  }
-  // SpecI2M is a bandwidth-gated controller feature (modeled analytically);
-  // a single core below saturation keeps its write-allocates.
-  return CacheHierarchy(l1, l2, l3,
-                        wa == WaMechanism::SpecI2M ? WaMechanism::None : wa,
-                        preset(micro).claim_detector_warmup_lines);
-}
-
 CacheHierarchy CacheHierarchy::for_model(const uarch::MachineModel& mm) {
   const uarch::CacheParams& c = mm.cache;
   const CacheConfig l1{static_cast<std::size_t>(c.l1_bytes), c.l1_ways,
@@ -212,6 +185,8 @@ CacheHierarchy CacheHierarchy::for_model(const uarch::MachineModel& mm) {
   const CacheConfig l3{static_cast<std::size_t>(c.l3_bytes), c.l3_ways,
                        c.line_bytes};
   const WaMechanism wa = preset(mm.micro()).wa;
+  // SpecI2M is a bandwidth-gated controller feature (modeled analytically);
+  // a single core below saturation keeps its write-allocates.
   return CacheHierarchy(l1, l2, l3,
                         wa == WaMechanism::SpecI2M ? WaMechanism::None : wa,
                         preset(mm.micro()).claim_detector_warmup_lines);

@@ -115,12 +115,10 @@ class CacheHierarchy {
   [[nodiscard]] double store_stream_ratio(std::uint64_t base,
                                           std::size_t bytes, StoreKind kind);
 
-  /// Per-machine hierarchy preset (per-core L1/L2 plus an L3 share).
-  [[nodiscard]] static CacheHierarchy for_machine(uarch::Micro micro);
   /// Hierarchy built from a model's cache geometry (the MDF `cache`
-  /// directive), so what-if cache edits flow into the trace simulator.
-  /// The WA mechanism still comes from the family preset; as in
-  /// for_machine, a single core below bandwidth saturation maps SpecI2M
+  /// directive: per-core L1/L2 plus an L3 share), so what-if cache edits
+  /// flow into the trace simulator.  The WA mechanism still comes from the
+  /// family preset; a single core below bandwidth saturation maps SpecI2M
   /// to plain write-allocate.
   [[nodiscard]] static CacheHierarchy for_model(const uarch::MachineModel& mm);
 

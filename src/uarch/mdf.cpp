@@ -1,6 +1,8 @@
 #include "uarch/mdf.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -14,8 +16,6 @@ namespace incore::uarch {
 
 using support::ModelError;
 using support::format;
-using support::split;
-using support::split_lines;
 using support::trim;
 
 const char* family_name(Micro m) {
@@ -102,6 +102,37 @@ std::string ports_spec(const MachineModel& mm, const InstrPerf& perf) {
   return out;
 }
 
+/// Value of an unsigned decimal "ddd", "ddd.ddd", ".ddd" or "ddd." whose
+/// digits form an integer below 2^53, with at most 22 fraction digits.
+/// Both operands of the division are then exact doubles, so the quotient
+/// is correctly rounded and equals strtod's (Clinger's fast path).
+/// nullopt for every other spelling.
+std::optional<double> plain_decimal(std::string_view s) {
+  static constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                                      1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                                      1e12, 1e13, 1e14, 1e15, 1e16, 1e17,
+                                      1e18, 1e19, 1e20, 1e21, 1e22};
+  constexpr std::uint64_t kMaxMantissa = std::uint64_t{1} << 53;
+  std::uint64_t mantissa = 0;
+  int fraction_digits = -1;  // -1 until the decimal point
+  bool any_digit = false;
+  for (const char c : s) {
+    if (c >= '0' && c <= '9') {
+      mantissa = mantissa * 10 + static_cast<std::uint64_t>(c - '0');
+      if (mantissa >= kMaxMantissa) return std::nullopt;
+      any_digit = true;
+      if (fraction_digits >= 0 && ++fraction_digits > 22) return std::nullopt;
+    } else if (c == '.' && fraction_digits < 0) {
+      fraction_digits = 0;
+    } else {
+      return std::nullopt;
+    }
+  }
+  if (!any_digit) return std::nullopt;
+  return static_cast<double>(mantissa) /
+         kPow10[fraction_digits < 0 ? 0 : fraction_digits];
+}
+
 /// Parser context: one diagnostic shape everywhere.
 struct Cursor {
   std::string source;
@@ -111,7 +142,10 @@ struct Cursor {
     throw ModelError(format("%s:%d: %s", source.c_str(), line, message.c_str()));
   }
 
+  /// The grammar is strtod's over the whole field; the plain decimals the
+  /// exporter writes skip strtod and its temporary string.
   double number(std::string_view field, std::string_view what) const {
+    if (const std::optional<double> v = plain_decimal(field)) return *v;
     const std::string s(field);
     char* end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
@@ -226,9 +260,12 @@ MachineModel load_machine_string(std::string_view text,
   std::size_t parsed_forms = 0;
   std::optional<MachineModel> mm;
 
-  for (std::string_view raw : split_lines(text)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    const std::string_view line = trim(text.substr(pos, eol - pos));
+    pos = eol + 1;
     ++at.line;
-    const std::string_view line = trim(raw);
     if (line.empty() || line.front() == '#') continue;
 
     // First field = directive key; the form directive keeps the tail intact
@@ -265,15 +302,15 @@ MachineModel load_machine_string(std::string_view text,
         mm->resources() = res;
       }
       // form <inv_tput> <latency> <uops> <acc_latency> <ports> <form text>
-      std::vector<std::string_view> head;
+      std::array<std::string_view, 5> head;
       std::string_view tail = rest;
-      while (head.size() < 5) {
+      for (std::string_view& field : head) {
         tail = trim(tail);
         const std::size_t sp = tail.find_first_of(" \t");
         if (tail.empty() || sp == std::string_view::npos)
           at.fail("truncated form line (need inverse-throughput, latency, "
                   "uops, accumulator-latency, ports and the form text)");
-        head.push_back(tail.substr(0, sp));
+        field = tail.substr(0, sp);
         tail = tail.substr(sp);
       }
       const std::string_view form_text = trim(tail);
@@ -283,8 +320,8 @@ MachineModel load_machine_string(std::string_view text,
       const double lat = at.number(head[1], "latency");
       const double uops = at.number(head[2], "uops");
       const double acc = at.number(head[3], "accumulator latency");
-      const std::string spec =
-          head[4] == "-" ? std::string() : std::string(head[4]);
+      const std::string_view spec =
+          head[4] == "-" ? std::string_view() : head[4];
       try {
         mm->add(form_text, tp, lat, spec, uops);
       } catch (const ModelError& e) {

@@ -169,19 +169,21 @@ void MachineModel::add(std::string_view form, double inverse_throughput,
     }
     perf.port_uses.push_back(PortUse{mask(port_list), cycles});
   }
-  std::string key(form);
-  if (table_.contains(key)) {
+  // One hash lookup: a new key is inserted empty and filled below.
+  const auto [it, inserted] = table_.try_emplace(std::string(form));
+  if (!inserted) {
     switch (on_duplicate_) {
       case OnDuplicate::Reject:
-        throw ModelError("duplicate form '" + key + "' in model " + name_);
+        throw ModelError("duplicate form '" + it->first + "' in model " +
+                         name_);
       case OnDuplicate::Warn:
-        duplicate_forms_.push_back(key);
+        duplicate_forms_.push_back(it->first);
         return;  // first registration wins, as before
       case OnDuplicate::Overwrite:
         break;
     }
   }
-  table_.insert_or_assign(std::move(key), std::move(perf));
+  it->second = std::move(perf);
 }
 
 void MachineModel::set_perf(std::string_view form, InstrPerf perf) {

@@ -169,7 +169,7 @@ class MachineModel {
   int simd_width_bits = 128;
   double l1_load_latency = 4.0;
   /// Cache geometry; defaults to default_cache_params(micro()) at
-  /// construction, overridable by builders and the MDF `cache` directive.
+  /// construction, overridable by the MDF `cache` directive.
   CacheParams cache;
   /// ECM memory-hierarchy parameters; defaults to
   /// default_hierarchy_params(micro()) at construction, overridable by the
@@ -283,12 +283,5 @@ class MachineModel {
 /// paper's generational ADD-latency comparison.  Not a testbed-trio member;
 /// registered in the MachineRegistry under the name "icelake".
 [[nodiscard]] const MachineModel& ice_lake_sp();
-
-namespace detail {
-MachineModel build_neoverse_v2();
-MachineModel build_golden_cove();
-MachineModel build_zen4();
-MachineModel build_ice_lake_sp();
-}  // namespace detail
 
 }  // namespace incore::uarch

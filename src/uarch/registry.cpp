@@ -6,6 +6,7 @@
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
+#include "uarch/embedded_models.hpp"
 #include "uarch/mdf.hpp"
 
 namespace incore::uarch {
@@ -69,17 +70,16 @@ const char* machine_names_help() {
 // ------------------------------------------------------------ the registry
 
 MachineRegistry::MachineRegistry() {
-  add_builtin("gcs", {"grace", "v2", "neoverse-v2"},
-              [] { return detail::build_neoverse_v2(); }, Micro::NeoverseV2);
+  add_builtin("gcs", {"grace", "v2", "neoverse-v2"}, "neoverse-v2",
+              Micro::NeoverseV2);
   add_builtin("spr", {"goldencove", "golden-cove", "sapphire-rapids"},
-              [] { return detail::build_golden_cove(); }, Micro::GoldenCove);
-  add_builtin("genoa", {"zen4"},
-              [] { return detail::build_zen4(); }, Micro::Zen4);
+              "golden-cove", Micro::GoldenCove);
+  add_builtin("genoa", {"zen4"}, "zen4", Micro::Zen4);
   // The auxiliary generational-comparison model: resolvable like any other
   // machine, but not a trio member (it reuses the Golden Cove family tag
   // for the out-of-model tables).
-  add_builtin("icelake", {"ice-lake-sp", "icelake-sp", "icx"},
-              [] { return detail::build_ice_lake_sp(); }, std::nullopt);
+  add_builtin("icelake", {"ice-lake-sp", "icelake-sp", "icx"}, "icelake-sp",
+              std::nullopt);
 }
 
 MachineRegistry& MachineRegistry::instance() {
@@ -105,7 +105,7 @@ const MachineRegistry::Entry* MachineRegistry::find_entry(
 
 void MachineRegistry::add_builtin(std::string name,
                                   std::vector<std::string> aliases,
-                                  std::function<MachineModel()> build,
+                                  std::string_view model_file,
                                   std::optional<Micro> trio_tag) {
   if (find_entry(name) != nullptr)
     throw ModelError("machine name '" + name + "' is already registered");
@@ -114,9 +114,13 @@ void MachineRegistry::add_builtin(std::string name,
       throw ModelError("machine alias '" + a + "' is already registered");
   }
   auto e = std::make_unique<Entry>();
+  e->mdf_text = detail::embedded_model_text(model_file);
+  if (e->mdf_text.empty())
+    throw ModelError("no embedded models/" + std::string(model_file) +
+                     ".mdf for machine '" + name + "'");
+  e->mdf_source = "models/" + std::string(model_file) + ".mdf";
   e->name = std::move(name);
   e->aliases = std::move(aliases);
-  e->build = std::move(build);
   e->trio_tag = trio_tag;
   e->is_builtin = true;
   entries_.push_back(std::move(e));
@@ -124,10 +128,9 @@ void MachineRegistry::add_builtin(std::string name,
 
 const MachineModel& MachineRegistry::materialize(Entry& e) {
   if (!e.model) {
-    MachineModel mm = e.build();
-    mm.validate();
-    e.model = std::make_unique<MachineModel>(std::move(mm));
-    e.build = nullptr;
+    // load_machine_string validates the model.
+    e.model = std::make_unique<MachineModel>(
+        load_machine_string(e.mdf_text, e.mdf_source));
   }
   return *e.model;
 }
@@ -237,6 +240,10 @@ bool try_resolve_machine(std::string_view name_or_path, MachineRef& out) {
 
 MachineRef machine_ref(Micro m) {
   return MachineRegistry::instance().resolve(family_name(m));
+}
+
+const MachineModel& ice_lake_sp() {
+  return *resolve_machine("icelake").model;
 }
 
 }  // namespace incore::uarch

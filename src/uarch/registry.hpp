@@ -6,7 +6,9 @@
 // spellings to refs from three sources:
 //   1. built-in models registered at startup (the paper trio plus the
 //      auxiliary Ice Lake SP generational-comparison model), addressable by
-//      their canonical name and the historical CLI aliases;
+//      their canonical name and the historical CLI aliases.  Each is the
+//      checked-in models/*.mdf, embedded at build time (embedded_models.hpp)
+//      and loaded with load_machine_string on first use;
 //   2. machine-description files (docs/machine-format.md): any argument that
 //      looks like a path — contains a '/' or ends in ".mdf" — is loaded with
 //      uarch::load_machine_file and cached under that path;
@@ -18,7 +20,6 @@
 // testbed silicon config, compiler-personality codegen).  See
 // MachineModel::micro() and the `family` line of the file format.
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,13 +47,14 @@ class MachineRegistry {
   /// The process-wide registry, pre-populated with the built-in models.
   [[nodiscard]] static MachineRegistry& instance();
 
-  /// Registers a lazily-built model under `name` (+ aliases).  `trio_tag`
-  /// marks members of the paper's testbed trio (consulted by
-  /// micro_from_name and the sweep matrix); the auxiliary models pass
-  /// nullopt.  Throws support::ModelError if any spelling is taken.
+  /// Registers the embedded models/<model_file>.mdf under `name` (+
+  /// aliases); it is loaded on first use.  `trio_tag` marks members of the
+  /// paper's testbed trio (consulted by micro_from_name and the sweep
+  /// matrix); the auxiliary models pass nullopt.  Throws
+  /// support::ModelError if any spelling is taken or no such file was
+  /// embedded.
   void add_builtin(std::string name, std::vector<std::string> aliases,
-                   std::function<MachineModel()> build,
-                   std::optional<Micro> trio_tag);
+                   std::string_view model_file, std::optional<Micro> trio_tag);
 
   /// Registers an owned model under `name` (what-if clones built at run
   /// time).  Re-registration under the same name replaces the previous
@@ -69,7 +71,7 @@ class MachineRegistry {
   [[nodiscard]] bool try_resolve(std::string_view name_or_path,
                                  MachineRef& out);
 
-  /// The built-in models in registration (paper) order, building them on
+  /// The built-in models in registration (paper) order, loading them on
   /// first use.
   [[nodiscard]] std::vector<MachineRef> builtins();
 
@@ -93,7 +95,8 @@ class MachineRegistry {
   struct Entry {
     std::string name;                  // canonical registered name
     std::vector<std::string> aliases;  // lower-cased alternative spellings
-    std::function<MachineModel()> build;  // empty once materialized
+    std::string mdf_source;            // "models/<file>.mdf", for diagnostics
+    std::string_view mdf_text;         // its embedded text (static storage)
     std::unique_ptr<MachineModel> model;  // owned; stable address
     std::optional<Micro> trio_tag;
     bool is_builtin = false;

@@ -83,7 +83,7 @@ TEST(ClaimDetector, PageBoundaryResets) {
 }
 
 TEST(CacheHierarchy, SmallWorkingSetStaysInL1) {
-  auto h = CacheHierarchy::for_machine(Micro::Zen4);
+  auto h = CacheHierarchy::for_model(uarch::machine(Micro::Zen4));
   for (int rep = 0; rep < 4; ++rep) {
     for (std::uint64_t a = 0; a < 16 * 1024; a += 64) h.load(a);
   }
@@ -94,7 +94,7 @@ TEST(CacheHierarchy, SmallWorkingSetStaysInL1) {
 }
 
 TEST(CacheHierarchy, ExclusiveFillPromotesFromL2) {
-  auto h = CacheHierarchy::for_machine(Micro::Zen4);
+  auto h = CacheHierarchy::for_model(uarch::machine(Micro::Zen4));
   // Stream larger than L1 (32 KiB) but well within L2 (1 MiB).
   const std::uint64_t kBytes = 256 * 1024;
   for (std::uint64_t a = 0; a < kBytes; a += 64) h.load(a);
@@ -105,14 +105,14 @@ TEST(CacheHierarchy, ExclusiveFillPromotesFromL2) {
 }
 
 TEST(CacheHierarchy, StoreStreamGenoaPaysWriteAllocate) {
-  auto h = CacheHierarchy::for_machine(Micro::Zen4);
+  auto h = CacheHierarchy::for_model(uarch::machine(Micro::Zen4));
   double ratio = h.store_stream_ratio(1 << 20, 8 * 1024 * 1024,
                                       StoreKind::Standard);
   EXPECT_NEAR(ratio, 2.0, 0.02);
 }
 
 TEST(CacheHierarchy, StoreStreamGraceClaims) {
-  auto h = CacheHierarchy::for_machine(Micro::NeoverseV2);
+  auto h = CacheHierarchy::for_model(uarch::machine(Micro::NeoverseV2));
   double ratio = h.store_stream_ratio(1 << 20, 8 * 1024 * 1024,
                                       StoreKind::Standard);
   // Analytic model: 1 + warmup/page = 1 + 2/64.
@@ -121,7 +121,7 @@ TEST(CacheHierarchy, StoreStreamGraceClaims) {
 
 TEST(CacheHierarchy, NonTemporalBypassesEverywhere) {
   for (Micro m : uarch::all_micros()) {
-    auto h = CacheHierarchy::for_machine(m);
+    auto h = CacheHierarchy::for_model(uarch::machine(m));
     double ratio = h.store_stream_ratio(1 << 20, 4 * 1024 * 1024,
                                         StoreKind::NonTemporal);
     EXPECT_NEAR(ratio, 1.0, 1e-9);
@@ -136,7 +136,7 @@ TEST(CacheHierarchy, TraceMatchesAnalyticModelSingleCore) {
   // "no evasion", which the trace model reproduces too).
   struct Case { Micro m; };
   for (Micro m : {Micro::NeoverseV2, Micro::Zen4, Micro::GoldenCove}) {
-    auto h = CacheHierarchy::for_machine(m);
+    auto h = CacheHierarchy::for_model(uarch::machine(m));
     double trace = h.store_stream_ratio(0, 16 * 1024 * 1024,
                                         StoreKind::Standard);
     memsim::System sys(memsim::preset(m));
@@ -148,7 +148,7 @@ TEST(CacheHierarchy, TraceMatchesAnalyticModelSingleCore) {
 }
 
 TEST(CacheHierarchy, TrafficConservation) {
-  auto h = CacheHierarchy::for_machine(Micro::GoldenCove);
+  auto h = CacheHierarchy::for_model(uarch::machine(Micro::GoldenCove));
   const std::uint64_t kLines = 4096;
   for (std::uint64_t i = 0; i < kLines; ++i)
     h.store(i * 64, StoreKind::Standard);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/analyze.hpp"
 #include "asmir/parser.hpp"
 #include "exec/exec.hpp"
@@ -134,6 +136,13 @@ const CorpusCase kCases[] = {
      7},
 };
 
+// Names a case by its `name` with '-' as '_' (e.g. "gcc_spr_triad"), so the
+// ctest name taken from it is the same in every build; gtest's default byte
+// dump of the struct would embed the addresses of `name` and `text`.
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+  for (const char* p = c.name; *p != '\0'; ++p) *os << (*p == '-' ? '_' : *p);
+}
+
 }  // namespace
 
 class Corpus : public ::testing::TestWithParam<CorpusCase> {};
@@ -157,13 +166,7 @@ TEST_P(Corpus, AnalyzesAndSimulates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RealCompilerOutput, Corpus,
-                         ::testing::ValuesIn(kCases),
-                         [](const ::testing::TestParamInfo<CorpusCase>& info) {
-                           std::string n = info.param.name;
-                           for (char& ch : n)
-                             if (ch == '-') ch = '_';
-                           return n;
-                         });
+                         ::testing::ValuesIn(kCases));
 
 TEST(CorpusDetails, GccTriadUsesFma213) {
   asmir::Program p = asmir::parse(kGccSprTriad, Isa::X86_64);

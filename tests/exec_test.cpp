@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/analyze.hpp"
 #include "asmir/parser.hpp"
 #include "exec/exec.hpp"
@@ -101,19 +103,31 @@ TEST(Exec, NoMoveEliminationOnGoldenCove) {
   EXPECT_GE(meas.cycles_per_iteration, rep.loop_carried_cycles() - 0.2);
 }
 
-class KernelDomination
-    : public ::testing::TestWithParam<std::tuple<Micro, const char*>> {};
+struct DominationCase {
+  Micro micro;
+  const char* kernel;
+  const char* text;
+};
+
+// Names a case "<CPU>_<kernel>" (e.g. "SPR_triad"), so the ctest name taken
+// from it is the same in every build; gtest's default printout would embed
+// the address of `text`.
+void PrintTo(const DominationCase& c, std::ostream* os) {
+  *os << uarch::cpu_short_name(c.micro) << '_' << c.kernel;
+}
+
+class KernelDomination : public ::testing::TestWithParam<DominationCase> {};
 
 TEST_P(KernelDomination, MeasurementDominatesLowerBound) {
-  auto [micro, text] = GetParam();
-  const auto& mm = machine(micro);
-  asmir::Program prog = asmir::parse(text, mm.isa());
+  const DominationCase& c = GetParam();
+  const auto& mm = machine(c.micro);
+  asmir::Program prog = asmir::parse(c.text, mm.isa());
   auto rep = analysis::analyze(prog, mm);
   auto meas = exec::run(prog, mm);
   // The analyzer is a lower bound (modulo the documented move-elimination
   // exception, which these kernels avoid).
   EXPECT_GE(meas.cycles_per_iteration, rep.predicted_cycles() - 0.05)
-      << "kernel:\n" << text;
+      << "kernel:\n" << c.text;
 }
 
 static const char* kV2Triad =
@@ -143,9 +157,9 @@ static const char* kZen4Sum =
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, KernelDomination,
-    ::testing::Values(std::make_tuple(Micro::NeoverseV2, kV2Triad),
-                      std::make_tuple(Micro::GoldenCove, kSprTriad),
-                      std::make_tuple(Micro::Zen4, kZen4Sum)));
+    ::testing::Values(DominationCase{Micro::NeoverseV2, "triad", kV2Triad},
+                      DominationCase{Micro::GoldenCove, "triad", kSprTriad},
+                      DominationCase{Micro::Zen4, "sum", kZen4Sum}));
 
 TEST(Exec, BranchBubbleCostsCyclesOnTinyLoops) {
   const auto& mm = machine(Micro::GoldenCove);

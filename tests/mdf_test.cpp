@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyze.hpp"
@@ -201,6 +202,35 @@ TEST(Mdf, MissingHierarchyKeepsFamilyDefault) {
   EXPECT_EQ(mm.hierarchy.write_allocate_evaded, def.write_allocate_evaded);
 }
 
+// A toy model whose l1_load_latency header (line 6) and first form's
+// latency field (line 7) are both spelled `number`.
+std::string toy_with_number(const std::string& number) {
+  return "mdf 1\n"
+         "machine toy\n"
+         "family zen4\n"
+         "isa x86_64\n"
+         "ports P0 P1\n"
+         "l1_load_latency " + number + "\n"
+         "form 1 " + number + " 0 0 P0 add r64,r64\n";
+}
+
+// The number grammar is strtod's over the whole field, whichever parser
+// takes a spelling: signs, exponents, bare fractions and hex all load.
+TEST(Mdf, NumberSpellingsFollowStrtod) {
+  const std::vector<std::pair<std::string, double>> cases = {
+      {"3", 3.0},       {"+3", 3.0},      {"-0", 0.0},     {"3e0", 3.0},
+      {"0.3E1", 3.0},   {"2.5e-1", 0.25}, {".5", 0.5},     {"5.", 5.0},
+      {"0x1p3", 8.0},   {"0X10", 16.0},   {"007", 7.0},
+      {"0.1", 0.1},     {"0.3333333333333333", 1.0 / 3}};
+  for (const auto& [spelling, value] : cases) {
+    SCOPED_TRACE(spelling);
+    const MachineModel mm =
+        uarch::load_machine_string(toy_with_number(spelling), "test.mdf");
+    EXPECT_EQ(mm.l1_load_latency, value);
+    EXPECT_EQ(mm.find("add r64,r64")->latency, value);
+  }
+}
+
 // ---------------------------------------------------------- malformed input
 
 TEST(MdfErrors, MissingVersionLine) {
@@ -369,6 +399,30 @@ TEST(MdfErrors, HierarchyBadEvasionFlag) {
       "hierarchy wa_evasion=2\n");
   EXPECT_NE(err.find("test.mdf:4:"), std::string::npos) << err;
   EXPECT_NE(err.find("'wa_evasion' must be 0 or 1"), std::string::npos) << err;
+}
+
+// Spellings strtod does not take whole are rejected with the same
+// file:line diagnostic, in a header line and in a form line.
+TEST(MdfErrors, NumberSpellingsRejectedLikeStrtod) {
+  for (const std::string spelling :
+       {"3x", "3,5", "+-3", "--3", "++3", "1e", "1e+", ".", "+", "0x",
+        "3..5", "1_000", "three"}) {
+    SCOPED_TRACE(spelling);
+    std::string err = load_error(toy_with_number(spelling));
+    EXPECT_NE(err.find("test.mdf:6: expected a number for l1_load_latency, "
+                       "got '" + spelling + "'"),
+              std::string::npos)
+        << err;
+    // With a valid header, the form line's latency fails the same way.
+    std::string text = toy_with_number(spelling);
+    text.replace(text.find("l1_load_latency " + spelling),
+                 16 + spelling.size(), "l1_load_latency 4");
+    err = load_error(text);
+    EXPECT_NE(err.find("test.mdf:7: expected a number for latency, got '" +
+                       spelling + "'"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(MdfErrors, NonexistentFile) {

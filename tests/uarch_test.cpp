@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "asmir/parser.hpp"
 #include "support/error.hpp"
 #include "uarch/model.hpp"
@@ -77,6 +81,21 @@ struct TputCase {
   double inverse_throughput;
   double latency;
 };
+
+// Names a case "<CPU>_<instruction>" with every run of other characters
+// folded to '_' (e.g. "SPR_vaddpd_zmm0_zmm1_zmm2"), so the ctest name taken
+// from it is the same in every build; gtest's default byte dump of the
+// struct would embed the address of `text`.
+void PrintTo(const TputCase& c, std::ostream* os) {
+  std::string name = std::string(uarch::cpu_short_name(c.micro)) + '_';
+  for (const char* p = c.text; *p != '\0'; ++p) {
+    if (std::isalnum(static_cast<unsigned char>(*p)))
+      name += *p;
+    else if (name.back() != '_')
+      name += '_';
+  }
+  *os << name;
+}
 
 class TableIIIAnchors : public ::testing::TestWithParam<TputCase> {};
 
