@@ -17,9 +17,9 @@
 #include <map>
 #include <vector>
 
-#include "audit/audit.hpp"
 #include "driver/sweep.hpp"
 #include "report/report.hpp"
+#include "server/sweep_args.hpp"
 #include "support/csv.hpp"
 #include "support/ks.hpp"
 #include "support/stats.hpp"
@@ -47,10 +47,7 @@ int main(int argc, char** argv) {
   // attributes every block's model divergence alongside the predictions.
   driver::SweepOptions opt;
   opt.jobs = support::ThreadPool::default_jobs();
-  opt.audit = [](const driver::Block& b) {
-    verify::DiagnosticSink sink;
-    return audit::verdict_string(audit::audit_block(b, sink));
-  };
+  opt.audit = server::audit_verdict;
   const driver::SweepResult res = driver::sweep(opt);
   std::vector<Sample> samples;
   samples.reserve(res.rows.size());

@@ -118,32 +118,27 @@ Prediction TestbedPredictor::predict(const Block& b) const {
 
 // ---------------------------------------------------------------------- ecm
 
-EcmPredictor::EcmPredictor(ecm::DataLocation loc, std::string id,
-                           ecm::TrafficSource source)
+EcmPredictor::EcmPredictor(ecm::DataLocation loc, std::string id)
     : EcmPredictor(loc, 0,
                    id.empty() ? std::string("ecm-") + ecm::to_string(loc)
-                              : std::move(id),
-                   source) {}
+                              : std::move(id)) {}
 
-EcmPredictor::EcmPredictor(ecm::DataLocation loc, int cores, std::string id,
-                           ecm::TrafficSource source)
-    : id_(std::move(id)), loc_(loc), cores_(cores), source_(source) {}
+EcmPredictor::EcmPredictor(ecm::DataLocation loc, int cores, std::string id)
+    : id_(std::move(id)), loc_(loc), cores_(cores) {}
 
 EcmPredictor EcmPredictor::node_throughput(std::string id) {
-  return EcmPredictor(ecm::DataLocation::Memory, -1, std::move(id),
-                      ecm::TrafficSource::Analytic);
+  return EcmPredictor(ecm::DataLocation::Memory, -1, std::move(id));
 }
 
 EcmPredictor EcmPredictor::multicore(int cores, std::string id) {
   return EcmPredictor(ecm::DataLocation::Memory, std::max(1, cores),
                       id.empty() ? support::format("ecm-n%d", cores)
-                                 : std::move(id),
-                      ecm::TrafficSource::Analytic);
+                                 : std::move(id));
 }
 
 namespace {
 
-/// Memoizes the analytic ECM composition per block.  A cores-axis sweep
+/// Memoizes the ECM composition per block.  A cores-axis sweep
 /// instantiates one EcmPredictor per sampled core count, but the
 /// underlying analysis (in-core split + traffic engine + claim replay)
 /// depends only on the block, so N core points share one evaluation.
@@ -165,8 +160,7 @@ EcmMemo& ecm_memo() {
   return memo;
 }
 
-ecm::Prediction analytic_ecm_for(const Block& b,
-                                 const analysis::Report& rep) {
+ecm::Prediction memoized_ecm(const Block& b, const analysis::Report& rep) {
   EcmMemo& memo = ecm_memo();
   const uarch::HierarchyParams& h = b.mm->hierarchy;
   // One hash definition everywhere (support::block_key): reuse the sweep's
@@ -197,13 +191,7 @@ Prediction EcmPredictor::predict(const Block& b) const {
   return timed_predict(id_, [&](Prediction& p) {
     const analysis::Report rep = analysis::analyze(b.gen.program, *b.mm);
     const ecm::HierarchyParams h = ecm::hierarchy_for(*b.mm);
-    const ecm::Prediction ep =
-        source_ == ecm::TrafficSource::LegacyStreaming
-            ? ecm::predict(rep,
-                           ecm::traffic_for(b.variant,
-                                            b.gen.elements_per_iteration),
-                           h)
-            : analytic_ecm_for(b, rep);
+    const ecm::Prediction ep = memoized_ecm(b, rep);
     p.saturation_cores =
         ep.t_l3mem > 0 ? std::min(ep.saturation_cores(h), h.socket_cores) : 0;
     if (cores_ != 0) {

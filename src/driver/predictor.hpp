@@ -150,16 +150,12 @@ class TestbedPredictor final : public Predictor {
 
 /// ECM composition (in-core + memory hierarchy).  Predicts single-core
 /// cycles with data resident in `loc`, or — with a core count — socket
-/// inverse-throughput cycles along the N-core scaling curve.  Since PR 7
-/// the transfer terms come from the static traffic engine against the
-/// block's own machine model (so .mdf `hierarchy` what-ifs flow through);
-/// the pre-PR-7 kernel-metadata streaming guess survives behind
-/// `source = LegacyStreaming` (the CLI's --legacy-traffic).
+/// inverse-throughput cycles along the N-core scaling curve.  The transfer
+/// terms come from the static traffic engine against the block's own
+/// machine model, so .mdf `hierarchy` what-ifs flow through.
 class EcmPredictor final : public Predictor {
  public:
-  explicit EcmPredictor(ecm::DataLocation loc, std::string id = "",
-                        ecm::TrafficSource source =
-                            ecm::TrafficSource::Analytic);
+  explicit EcmPredictor(ecm::DataLocation loc, std::string id = "");
   /// Full-socket saturated cycles/iteration (memory-resident data).
   [[nodiscard]] static EcmPredictor node_throughput(std::string id =
                                                         "ecm-node");
@@ -169,13 +165,11 @@ class EcmPredictor final : public Predictor {
   [[nodiscard]] Prediction predict(const Block& b) const override;
 
  private:
-  EcmPredictor(ecm::DataLocation loc, int cores, std::string id,
-               ecm::TrafficSource source);
+  EcmPredictor(ecm::DataLocation loc, int cores, std::string id);
   std::string id_;
   ecm::DataLocation loc_ = ecm::DataLocation::Memory;
   /// 0 = single-core; -1 = whole socket; >0 = explicit core count.
   int cores_ = 0;
-  ecm::TrafficSource source_ = ecm::TrafficSource::Analytic;
 };
 
 // ---------------------------------------------------------------------------

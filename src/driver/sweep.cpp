@@ -54,6 +54,23 @@ const Prediction* SweepResult::find(const SweepRow& row,
   return nullptr;
 }
 
+BlockSet dedup_blocks(const std::vector<kernels::Variant>& matrix,
+                      const MachineResolver& machines) {
+  BlockSet set;
+  std::unordered_map<std::string, std::size_t> block_of_hash;
+  std::unordered_set<std::string> assemblies;
+  set.cell_block.reserve(matrix.size());
+  for (const kernels::Variant& v : matrix) {
+    Block b = machines ? make_block(v, machines(v.target)) : make_block(v);
+    assemblies.insert(b.text_hash);
+    auto [it, inserted] = block_of_hash.emplace(b.hash, set.blocks.size());
+    if (inserted) set.blocks.push_back(std::move(b));
+    set.cell_block.push_back(it->second);
+  }
+  set.unique_assemblies = assemblies.size();
+  return set;
+}
+
 SweepResult sweep(const std::vector<kernels::Variant>& matrix,
                   const std::vector<const Predictor*>& predictors, int jobs,
                   const MachineResolver& machines, const AuditHook& audit,
@@ -64,17 +81,9 @@ SweepResult sweep(const std::vector<kernels::Variant>& matrix,
 
   // Phase 1+2 (serial): codegen, hash, dedup.  Codegen is microseconds per
   // block; the predictors are where the time goes.
-  std::unordered_map<std::string, std::size_t> block_of_hash;
-  std::unordered_set<std::string> assemblies;
-  std::vector<std::size_t> cell_block;  // per matrix cell -> unique block
-  cell_block.reserve(matrix.size());
-  for (const kernels::Variant& v : matrix) {
-    Block b = machines ? make_block(v, machines(v.target)) : make_block(v);
-    assemblies.insert(b.text_hash);
-    auto [it, inserted] = block_of_hash.emplace(b.hash, r.blocks.size());
-    if (inserted) r.blocks.push_back(std::move(b));
-    cell_block.push_back(it->second);
-  }
+  BlockSet set = dedup_blocks(matrix, machines);
+  r.blocks = std::move(set.blocks);
+  const std::vector<std::size_t>& cell_block = set.cell_block;
 
   // Phase 3 (pipelined): one service job per unique block — the pipeline
   // runs the predictors in the evaluate stage and the audit/traffic hooks
@@ -158,7 +167,7 @@ SweepResult sweep(const std::vector<kernels::Variant>& matrix,
 
   r.stats.cells = matrix.size();
   r.stats.unique_blocks = r.blocks.size();
-  r.stats.unique_assemblies = assemblies.size();
+  r.stats.unique_assemblies = set.unique_assemblies;
   r.stats.evaluations = memo.size();
   r.stats.dedup_hits = (matrix.size() - r.blocks.size()) * P;
   r.stats.jobs = std::max(1, jobs);

@@ -117,6 +117,20 @@ struct SweepResult {
 using MachineResolver =
     std::function<const uarch::MachineModel&(uarch::Micro)>;
 
+/// The matrix collapsed to unique (machine, assembly) blocks: every cell
+/// is generated and hashed, and the first cell of each hash keeps its
+/// block.  The one dedup behind the sweep and every corpus gate.
+struct BlockSet {
+  std::vector<Block> blocks;            // unique blocks, first-seen order
+  std::vector<std::size_t> cell_block;  // per matrix cell: into `blocks`
+  std::size_t unique_assemblies = 0;    // distinct assembly texts
+};
+
+/// Dedups `matrix`, binding each cell to `machines(v.target)` (the
+/// built-in model when `machines` is empty).
+[[nodiscard]] BlockSet dedup_blocks(const std::vector<kernels::Variant>& matrix,
+                                    const MachineResolver& machines = {});
+
 /// Core entry point: evaluates `matrix` against `predictors` (non-owning;
 /// must outlive the call) by submitting every unique block to the staged
 /// service pipeline (server::ServiceCore) and draining the handles in

@@ -34,30 +34,6 @@ HierarchyParams hierarchy(uarch::Micro micro) {
   return hierarchy_for(uarch::machine(micro));
 }
 
-Traffic traffic_for(const kernels::Variant& v, int elements_per_iteration) {
-  const kernels::KernelInfo& ki = kernels::info(v.kernel);
-  Traffic t;
-  // Streaming kernels: each element is 8 B; 8 consecutive elements share a
-  // 64 B line, so per-iteration line counts are fractional.
-  const double elems = elements_per_iteration;
-  t.load_lines = ki.loads_per_element * elems / 8.0;
-  t.store_lines = ki.stores_per_element * elems / 8.0;
-  // Every stored line must be owned first: one extra read line, unless the
-  // machine claims lines automatically.
-  t.wa_lines = t.store_lines;
-  return t;
-}
-
-Traffic traffic_from_streams(const traffic::Result& r) {
-  Traffic t;
-  for (const traffic::Stream& s : r.streams) {
-    t.load_lines += s.load_first_lines;
-    t.store_lines += s.dirty_lines + s.nt_store_line_ops;
-    t.wa_lines += s.store_first_lines;
-  }
-  return t;
-}
-
 BoundaryTraffic boundary_traffic(const traffic::Volumes& v) {
   BoundaryTraffic t;
   // Claimed lines allocate in L1 without moving data through any boundary;
@@ -144,19 +120,6 @@ Prediction predict(const analysis::Report& rep, const BoundaryTraffic& t,
   return p;
 }
 
-Prediction predict(const analysis::Report& rep, const Traffic& traffic,
-                   const HierarchyParams& h) {
-  // Legacy streaming composition: one aggregate line count charged on every
-  // boundary, write-allocate included unless the machine evades it.
-  const double wa = h.write_allocate_evaded ? 0.0 : traffic.wa_lines;
-  const double lines = traffic.load_lines + traffic.store_lines + wa;
-  BoundaryTraffic t;
-  t.lines_l1l2 = lines;
-  t.lines_l2l3 = lines;
-  t.lines_l3mem = lines;
-  return predict(rep, t, h);
-}
-
 Prediction predict_block(const analysis::Report& rep,
                          const asmir::Program& prog,
                          const uarch::MachineModel& mm) {
@@ -164,15 +127,10 @@ Prediction predict_block(const analysis::Report& rep,
   return predict(rep, boundary_traffic(tr.volumes), hierarchy_for(mm));
 }
 
-Prediction predict_kernel(const kernels::Variant& v, TrafficSource source) {
-  auto g = kernels::generate(v);
-  const auto& mm = uarch::machine(v.target);
-  analysis::Report rep = analysis::analyze(g.program, mm);
-  if (source == TrafficSource::LegacyStreaming) {
-    return predict(rep, traffic_for(v, g.elements_per_iteration),
-                   hierarchy_for(mm));
-  }
-  return predict_block(rep, g.program, mm);
+Prediction predict_kernel(const kernels::Variant& v) {
+  const kernels::GeneratedKernel g = kernels::generate(v);
+  const uarch::MachineModel& mm = uarch::machine(v.target);
+  return predict_block(analysis::analyze(g.program, mm), g.program, mm);
 }
 
 }  // namespace incore::ecm

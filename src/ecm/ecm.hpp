@@ -17,9 +17,7 @@
 // The transfer terms are keyed on the static traffic engine (src/traffic/):
 // per-boundary line volumes with layer conditions, write-allocate evasion
 // and non-temporal stores resolved, against the machine's MDF-described
-// hierarchy (uarch::HierarchyParams, the `hierarchy` directive).  The
-// pre-PR-7 path — a streaming guess from kernel metadata — survives as
-// TrafficSource::LegacyStreaming for comparison only.
+// hierarchy (uarch::HierarchyParams, the `hierarchy` directive).
 //
 // Multicore scaling follows the ECM saturation law: performance scales
 // linearly with cores until the memory-transfer term saturates the
@@ -64,29 +62,6 @@ struct HierarchyParams {
 /// the model's own `hierarchy` directive, named after its family tag.
 [[nodiscard]] HierarchyParams hierarchy_for(const uarch::MachineModel& mm);
 
-/// Per-iteration data traffic of a kernel codegen variant, phrased as the
-/// legacy streaming aggregate (one line count per class, charged on every
-/// level).
-struct Traffic {
-  double load_lines = 0;   // cache lines read per iteration
-  double store_lines = 0;  // cache lines written per iteration
-  double wa_lines = 0;     // extra write-allocate read lines
-};
-
-/// DEPRECATED (PR 7): derives per-iteration traffic from kernel metadata
-/// (loads/stores per element x elements per iteration), assuming streaming
-/// access.  Blind to layer conditions, NT stores and write-allocate
-/// evasion; kept only as the TrafficSource::LegacyStreaming fallback
-/// (`--legacy-traffic`).  New callers want boundary_traffic() over a
-/// traffic::Result.
-[[nodiscard]] Traffic traffic_for(const kernels::Variant& v,
-                                  int elements_per_iteration);
-
-/// Streaming-aggregate view of a static traffic analysis (the successor of
-/// the old traffic::to_ecm_traffic, moved here when the ecm -> traffic
-/// dependency was inverted).
-[[nodiscard]] Traffic traffic_from_streams(const traffic::Result& r);
-
 /// Per-boundary line volumes for the ECM transfer terms, in cache lines
 /// per iteration crossing each adjacent-level boundary (both directions:
 /// fills toward the core plus victim write-backs away from it, matching
@@ -122,28 +97,14 @@ struct Prediction {
                                         const HierarchyParams& h) const;
 };
 
-/// Composes the in-core report with per-boundary traffic (the analytic
-/// path: layer conditions and WA evasion already folded into `t`).
+/// Composes the in-core report with per-boundary traffic (layer
+/// conditions and write-allocate evasion already folded into `t`).
 [[nodiscard]] Prediction predict(const analysis::Report& rep,
                                  const BoundaryTraffic& t,
                                  const HierarchyParams& h);
 
-/// Legacy composition from the streaming aggregate: every line class is
-/// charged once per boundary (plus the write-allocate read unless evaded).
-[[nodiscard]] Prediction predict(const analysis::Report& rep,
-                                 const Traffic& traffic,
-                                 const HierarchyParams& h);
-
-/// Where predict_kernel derives its transfer-term traffic from.
-enum class TrafficSource : std::uint8_t {
-  Analytic,         // static traffic engine (default since PR 7)
-  LegacyStreaming,  // kernel-metadata streaming guess (--legacy-traffic)
-};
-
-/// Convenience: full pipeline for a kernel variant.
-[[nodiscard]] Prediction predict_kernel(
-    const kernels::Variant& v,
-    TrafficSource source = TrafficSource::Analytic);
+/// Convenience: full pipeline for a kernel variant on its built-in model.
+[[nodiscard]] Prediction predict_kernel(const kernels::Variant& v);
 
 /// Full pipeline for an already-analyzed block against an explicit model
 /// (the driver's EcmPredictor path; works for .mdf-loaded machines).

@@ -4,13 +4,11 @@
 #include <cstdlib>
 #include <utility>
 
-#include "audit/audit.hpp"
 #include "driver/sweep.hpp"
 #include "report/json.hpp"
+#include "server/sweep_args.hpp"
 #include "support/strings.hpp"
-#include "traffic/traffic.hpp"
 #include "uarch/registry.hpp"
-#include "verify/diagnostics.hpp"
 
 namespace incore::server {
 
@@ -135,18 +133,6 @@ std::string block_reply_prefix(const std::string& kind,
                 kind.c_str(), std::string(mm.name()).c_str(),
                 block.hash.c_str(), res.instructions, res.defuse_edges,
                 res.coalesced ? "true" : "false");
-}
-
-/// The sweep engine's --traffic column line.
-std::string traffic_line(const driver::Block& b) {
-  const traffic::Result r = traffic::analyze(b.gen.program, *b.mm);
-  return format("%.3fr+%.3fw%s", r.volumes.mem_read, r.volumes.mem_write,
-                r.exact ? "" : "+");
-}
-
-std::string audit_verdict(const driver::Block& b) {
-  verify::DiagnosticSink sink;
-  return audit::verdict_string(audit::audit_block(b, sink));
 }
 
 }  // namespace
@@ -282,106 +268,26 @@ std::string ServerContext::handle_block_command(const std::string& cmd,
 }
 
 std::string ServerContext::handle_sweep(const std::string& args) {
-  driver::SweepOptions opt;
-  bool csv = false;
   std::vector<std::string> tokens;
   for (std::string_view part : support::split(args, ' ')) {
     const std::string t(support::trim(part));
     if (!t.empty()) tokens.push_back(t);
   }
-  std::string parse_error;
-  auto list_flag = [&](std::size_t& i, const std::string& flag,
-                       const std::function<bool(const std::string&)>& add) {
-    if (i + 1 >= tokens.size()) {
-      parse_error = flag + " needs a value";
-      return false;
-    }
-    for (std::string_view part : support::split(tokens[++i], ',')) {
-      const std::string item(support::trim(part));
-      if (item.empty() || !add(item)) {
-        parse_error = flag + ": unknown value '" + item + "'";
-        return false;
-      }
-    }
-    return true;
-  };
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const std::string& a = tokens[i];
-    bool parsed = true;
-    if (a == "--csv") {
-      csv = true;
-    } else if (a == "--audit") {
-      opt.audit = audit_verdict;
-    } else if (a == "--traffic") {
-      opt.traffic = traffic_line;
-    } else if (a == "--models") {
-      parsed = list_flag(i, a, [&](const std::string& s) {
-        driver::Model m;
-        if (!driver::model_from_name(s, m)) return false;
-        opt.models.push_back(m);
-        return true;
-      });
-    } else if (a == "--machines") {
-      parsed = list_flag(i, a, [&](const std::string& s) {
-        uarch::MachineRef ref;
-        if (!uarch::try_resolve_machine(s, ref)) return false;
-        opt.machines.push_back(std::move(ref));
-        return true;
-      });
-    } else if (a == "--kernels") {
-      parsed = list_flag(i, a, [&](const std::string& s) {
-        for (kernels::Kernel k : kernels::all_kernels()) {
-          if (s == kernels::to_string(k)) {
-            opt.kernels.push_back(k);
-            return true;
-          }
-        }
-        return false;
-      });
-    } else if (a == "--compilers") {
-      parsed = list_flag(i, a, [&](const std::string& s) {
-        for (kernels::Compiler c :
-             {kernels::Compiler::Gcc, kernels::Compiler::Clang,
-              kernels::Compiler::OneApi, kernels::Compiler::ArmClang}) {
-          if (s == kernels::to_string(c)) {
-            opt.compilers.push_back(c);
-            return true;
-          }
-        }
-        return false;
-      });
-    } else if (a == "--opt") {
-      parsed = list_flag(i, a, [&](const std::string& s) {
-        for (kernels::OptLevel o :
-             {kernels::OptLevel::O1, kernels::OptLevel::O2,
-              kernels::OptLevel::O3, kernels::OptLevel::Ofast}) {
-          if (s == kernels::to_string(o)) {
-            opt.opt_levels.push_back(o);
-            return true;
-          }
-        }
-        return false;
-      });
-    } else if (a == "--cores") {
-      parsed = list_flag(i, a, [&](const std::string& s) {
-        const int n = std::atoi(s.c_str());
-        if (n <= 0) return false;
-        opt.cores.push_back(n);
-        return true;
-      });
-    } else {
-      parse_error = "unknown sweep flag '" + a + "'";
-      parsed = false;
-    }
-    if (!parsed) return error_reply("sweep: " + parse_error);
+  // The CLI's grammar; --jobs stays CLI-only (this core was sized when the
+  // daemon started).
+  const SweepArgs parsed = parse_sweep_args(tokens);
+  if (!parsed.error.empty()) {
+    return error_reply(parsed.error.starts_with("sweep: ")
+                           ? parsed.error
+                           : "sweep: " + parsed.error);
   }
   // The daemon's core does the work: concurrent sweeps share its memo, so
   // a repeated sweep is almost entirely memo hits.
-  const driver::SweepResult r = driver::sweep(opt, &core_);
+  const driver::SweepResult r = driver::sweep(parsed.options, &core_);
   if (r.rows.empty()) {
     return error_reply("sweep: the filters leave an empty matrix");
   }
-  if (csv) {
+  if (parsed.format == SweepFormat::Csv) {
     return format("{\"ok\": true, \"kind\": \"sweep\", \"csv\": \"%s\"}\n",
                   report::json_escape(driver::to_csv(r)).c_str());
   }

@@ -22,9 +22,8 @@
 //     ecm <machine>      + payload   ECM cycles at L1/L2/L3/Mem and the
 //                                    saturation point
 //     sweep [flags]                  batch matrix sweep through the shared
-//                                    core; flags: --models --kernels
-//                                    --machines --compilers --opt --cores
-//                                    a,b,..  --audit --traffic --csv
+//                                    core; flags: the CLI's sweep grammar
+//                                    (sweep_args.hpp) minus --jobs
 //     stats                          service pipeline statistics
 //     shutdown                       stop the server after replying
 //

@@ -11,6 +11,7 @@
 #include "analysis/analyze.hpp"
 #include "asmir/parser.hpp"
 #include "driver/predictor.hpp"
+#include "driver/sweep.hpp"
 #include "kernels/kernels.hpp"
 #include "report/json.hpp"
 #include "uarch/registry.hpp"
@@ -110,12 +111,10 @@ TEST(Audit, PathCertificateProvenance) {
 TEST(Audit, CorpusCertifiesClean) {
   // Every unique block of the validation matrix must pass all VP error
   // checks — the library-level mirror of `incore-cli audit --all`.
-  std::set<std::string> seen;
   std::size_t audited = 0;
   verify::DiagnosticSink sink;
-  for (const kernels::Variant& v : kernels::test_matrix()) {
-    driver::Block b = driver::make_block(v);
-    if (!seen.insert(b.hash).second) continue;
+  for (const driver::Block& b :
+       driver::dedup_blocks(kernels::test_matrix()).blocks) {
     const audit::BlockAudit a = audit::audit_block(b, sink);
     EXPECT_TRUE(a.evaluated) << a.location << ": " << a.error;
     EXPECT_TRUE(a.ok) << a.location;

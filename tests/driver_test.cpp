@@ -137,6 +137,33 @@ TEST(Sweep, EveryUniqueBlockEvaluatedExactlyOncePerModel) {
   EXPECT_EQ(res.rows.size(), matrix.size());
 }
 
+TEST(Sweep, DedupBlocksIsTheSweepsDedup) {
+  // The corpus gates and tests enumerate blocks through dedup_blocks; it
+  // must hand out exactly the sweep's unique blocks, in first-seen matrix
+  // order.
+  const auto matrix = kernels::test_matrix();
+  const driver::BlockSet set = driver::dedup_blocks(matrix);
+  CountingPredictor a("a");
+  const driver::SweepResult res = driver::sweep(matrix, {&a});
+  ASSERT_EQ(set.blocks.size(), res.stats.unique_blocks);
+  EXPECT_EQ(set.blocks.size(), 249u);
+  EXPECT_EQ(set.unique_assemblies, res.stats.unique_assemblies);
+  ASSERT_EQ(set.cell_block.size(), matrix.size());
+  std::size_t next = 0;
+  for (std::size_t c = 0; c < matrix.size(); ++c) {
+    EXPECT_EQ(set.cell_block[c], res.rows[c].block_index);
+    // A cell either opens the next block or maps onto an earlier one.
+    if (set.cell_block[c] == next) {
+      EXPECT_EQ(set.blocks[next].variant.label(), matrix[c].label());
+      EXPECT_EQ(set.blocks[next].hash, res.blocks[next].hash);
+      ++next;
+    } else {
+      EXPECT_LT(set.cell_block[c], next);
+    }
+  }
+  EXPECT_EQ(next, set.blocks.size());
+}
+
 TEST(Sweep, RowsReferenceTheirMemoizedBlock) {
   driver::SweepOptions opt;
   opt.kernels = {kernels::Kernel::Add, kernels::Kernel::Copy};

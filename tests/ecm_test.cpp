@@ -52,17 +52,6 @@ TEST(EcmHierarchy, OnlyGraceEvadesWriteAllocates) {
   EXPECT_FALSE(ecm::hierarchy(Micro::Zen4).write_allocate_evaded);
 }
 
-TEST(EcmTraffic, TriadLineCounts) {
-  // Schoenauer triad: 3 loads + 1 store per element.
-  auto v = triad(Micro::GoldenCove);
-  auto g = kernels::generate(v);
-  auto t = ecm::traffic_for(v, g.elements_per_iteration);
-  double elems = g.elements_per_iteration;
-  EXPECT_DOUBLE_EQ(t.load_lines, 3.0 * elems / 8.0);
-  EXPECT_DOUBLE_EQ(t.store_lines, elems / 8.0);
-  EXPECT_DOUBLE_EQ(t.wa_lines, t.store_lines);
-}
-
 TEST(EcmPrediction, MonotoneInDataLocation) {
   for (Micro m : uarch::all_micros()) {
     auto p = ecm::predict_kernel(triad(m));
@@ -91,29 +80,22 @@ TEST(EcmPrediction, L1EqualsInCoreBound) {
 TEST(EcmPrediction, WriteAllocateChargesExtraLines) {
   // INIT is a pure store stream: one stored line per 8 doubles.  Genoa
   // write-allocates each line before overwriting it (2 lines / 8 elements).
-  // The legacy streaming guess assumed Grace's automatic claim always
-  // evades the allocate (1 line / 8 elements); the analytic path replays
-  // the trace simulator's detector instead, which claims only full-line
-  // sequential store runs -- the 128-bit store touches every line four
-  // times, each repeat resets the sequential run, so nothing is claimed
-  // and Grace pays the write-allocate too.  This pins the one place the
-  // two traffic sources disagree (see docs/multicore.md).
+  // Grace's automatic claim would evade the allocate, but the traffic
+  // engine replays the trace simulator's detector, which claims only
+  // full-line sequential store runs -- the 128-bit store touches every
+  // line four times, each repeat resets the sequential run, so nothing is
+  // claimed and Grace pays the write-allocate too (see docs/multicore.md).
   kernels::Variant zn{Kernel::Init, Compiler::Gcc, OptLevel::O3, Micro::Zen4};
   kernels::Variant nv{Kernel::Init, Compiler::Gcc, OptLevel::O3,
                       Micro::NeoverseV2};
   auto genoa = ecm::predict_kernel(zn);
   auto grace = ecm::predict_kernel(nv);
-  auto grace_legacy =
-      ecm::predict_kernel(nv, ecm::TrafficSource::LegacyStreaming);
   auto gn = kernels::generate(zn);
   auto gg = kernels::generate(nv);
   double genoa_lines = genoa.mem_lines_per_iter / gn.elements_per_iteration;
   double grace_lines = grace.mem_lines_per_iter / gg.elements_per_iteration;
-  double legacy_lines =
-      grace_legacy.mem_lines_per_iter / gg.elements_per_iteration;
-  EXPECT_NEAR(genoa_lines, 2.0 / 8.0, 1e-9);   // store + write-allocate
-  EXPECT_NEAR(grace_lines, 2.0 / 8.0, 1e-9);   // claim never fires
-  EXPECT_NEAR(legacy_lines, 1.0 / 8.0, 1e-9);  // legacy: store only
+  EXPECT_NEAR(genoa_lines, 2.0 / 8.0, 1e-9);  // store + write-allocate
+  EXPECT_NEAR(grace_lines, 2.0 / 8.0, 1e-9);  // claim never fires
 }
 
 TEST(EcmPrediction, SaturationCoresReasonable) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/sweep.hpp"
 #include "equiv/equiv.hpp"
 #include "kernels/kernels.hpp"
 #include "support/hash.hpp"
@@ -22,49 +23,35 @@ using namespace incore;
 
 namespace {
 
-struct UniqueBlock {
-  std::string text;
-  asmir::Isa isa = asmir::Isa::AArch64;
-  std::string label;  // first variant that produced it
-};
-
 /// The corpus deduplicated to unique (machine, assembly) blocks -- the
-/// paper's 249 -- using the same block_key the sweep driver dedups with.
-std::vector<UniqueBlock> unique_blocks() {
-  std::vector<UniqueBlock> out;
-  std::map<std::string, std::size_t> seen;
-  for (const kernels::Variant& v : kernels::test_matrix()) {
-    kernels::GeneratedKernel g = kernels::generate(v);
-    const std::string key =
-        support::block_key(uarch::to_string(v.target), g.assembly);
-    if (seen.contains(key)) continue;
-    seen.emplace(key, out.size());
-    out.push_back({std::move(g.assembly), g.program.isa, v.label()});
-  }
-  return out;
+/// paper's 249 -- by the sweep driver's own dedup.
+std::vector<driver::Block> unique_blocks() {
+  return driver::dedup_blocks(kernels::test_matrix()).blocks;
 }
 
 TEST(EquivCorpus, EveryUniqueBlockIsSelfEquivalent) {
-  const std::vector<UniqueBlock> blocks = unique_blocks();
+  const std::vector<driver::Block> blocks = unique_blocks();
   ASSERT_EQ(blocks.size(), 249u) << "corpus size drifted; update the gate";
   equiv::Engine engine;
-  for (const UniqueBlock& b : blocks) {
-    const equiv::Result r = engine.check_text(b.text, b.text, b.isa);
+  for (const driver::Block& b : blocks) {
+    const equiv::Result r =
+        engine.check_text(b.gen.assembly, b.gen.assembly, b.gen.program.isa);
     EXPECT_EQ(r.verdict, equiv::Verdict::Equivalent)
-        << b.label << ": " << equiv::to_text(r);
+        << b.variant.label() << ": " << equiv::to_text(r);
   }
 }
 
 TEST(EquivCorpus, EveryUniqueBlockMatchesItsUnrolledTwin) {
-  const std::vector<UniqueBlock> blocks = unique_blocks();
+  const std::vector<driver::Block> blocks = unique_blocks();
   equiv::Engine engine;
-  for (const UniqueBlock& b : blocks) {
-    const std::string twice = equiv::unroll_text(b.text, 2);
-    const equiv::Result r = engine.check_text(b.text, twice, b.isa);
+  for (const driver::Block& b : blocks) {
+    const std::string twice = equiv::unroll_text(b.gen.assembly, 2);
+    const equiv::Result r =
+        engine.check_text(b.gen.assembly, twice, b.gen.program.isa);
     EXPECT_EQ(r.verdict, equiv::Verdict::Equivalent)
-        << b.label << " vs x2: " << equiv::to_text(r);
-    EXPECT_EQ(r.ref_stamps, 2) << b.label;
-    EXPECT_EQ(r.cand_stamps, 1) << b.label;
+        << b.variant.label() << " vs x2: " << equiv::to_text(r);
+    EXPECT_EQ(r.ref_stamps, 2) << b.variant.label();
+    EXPECT_EQ(r.cand_stamps, 1) << b.variant.label();
   }
 }
 
@@ -111,12 +98,14 @@ TEST(EquivCorpus, CrossCompilerPairsNeverDivergeUnattributed) {
 TEST(EquivCorpus, MemoizationCollapsesRepeatedSummaries) {
   // The 249 (machine, assembly) blocks share 192 distinct texts; the
   // engine summarizes each text once and every other probe is a memo hit.
-  const std::vector<UniqueBlock> blocks = unique_blocks();
+  const std::vector<driver::Block> blocks = unique_blocks();
   std::map<std::string, int> texts;
-  for (const UniqueBlock& b : blocks) ++texts[support::text_key(b.text)];
+  for (const driver::Block& b : blocks) {
+    ++texts[support::text_key(b.gen.assembly)];
+  }
   equiv::Engine engine;
-  for (const UniqueBlock& b : blocks) {
-    (void)engine.check_text(b.text, b.text, b.isa);
+  for (const driver::Block& b : blocks) {
+    (void)engine.check_text(b.gen.assembly, b.gen.assembly, b.gen.program.isa);
   }
   EXPECT_EQ(engine.memo_misses(), texts.size());
   EXPECT_EQ(engine.memo_hits(), 2 * blocks.size() - texts.size());

@@ -2,13 +2,15 @@
 // from (BoundedQueue, StageClock), the staged pipeline core (stage flow,
 // memoization, request coalescing, the concurrent-overlap guarantee,
 // shutdown semantics) and the socket-free protocol layer (framing codec,
-// request dispatch, malformed-request diagnostics).
+// request dispatch, malformed-request diagnostics) and the sweep flag
+// grammar the daemon shares with the CLI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "kernels/kernels.hpp"
 #include "server/core.hpp"
 #include "server/protocol.hpp"
+#include "server/sweep_args.hpp"
 #include "support/hash.hpp"
 #include "support/queue.hpp"
 #include "support/stageclock.hpp"
@@ -644,4 +647,122 @@ TEST(ServerContext, EcmRoundTrip) {
   EXPECT_NE(reply.find("\"kind\": \"ecm\""), std::string::npos);
   EXPECT_NE(reply.find("\"ecm-L1\""), std::string::npos);
   EXPECT_NE(reply.find("\"ecm-MEM\""), std::string::npos);
+}
+
+// ------------------------------------------------------------ sweep grammar
+
+namespace {
+
+/// Everything a parse produced, as one comparable line.
+std::string describe(const server::SweepArgs& a) {
+  if (!a.error.empty()) return a.error;
+  std::string out = a.format == server::SweepFormat::Csv    ? "csv"
+                    : a.format == server::SweepFormat::Json ? "json"
+                                                            : "text";
+  if (a.options.audit) out += " audit";
+  if (a.options.traffic) out += " traffic";
+  for (int n : a.options.cores) out += " n" + std::to_string(n);
+  for (driver::Model m : a.options.models) {
+    out += std::string(" ") + driver::to_string(m);
+  }
+  for (const uarch::MachineRef& m : a.options.machines) out += " " + m.name;
+  for (kernels::Kernel k : a.options.kernels) {
+    out += std::string(" ") + kernels::to_string(k);
+  }
+  for (kernels::Compiler c : a.options.compilers) {
+    out += std::string(" ") + kernels::to_string(c);
+  }
+  for (kernels::OptLevel o : a.options.opt_levels) {
+    out += std::string(" ") + kernels::to_string(o);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(SweepGrammar, AcceptsAndRejectsWithTheCliWording) {
+  const std::string cores = "sweep: --cores expects core counts in [1, 1024]";
+  const struct {
+    std::vector<std::string> tokens;
+    std::string expected;  // describe() of the parse
+  } cases[] = {
+      {{}, "text"},
+      {{"--csv"}, "csv"},
+      {{"--json"}, "json"},
+      {{"--csv", "--json"}, "json"},
+      {{"--audit", "--traffic"}, "text audit traffic"},
+      {{"--cores", "1, 2,1024"}, "text n1 n2 n1024"},
+      {{"--models", "llvm-mca,osaca,exec"}, "text mca osaca testbed"},
+      {{"--machines", "grace,spr"}, "text gcs spr"},
+      {{"--kernels", "sum,stream-triad"}, "text sum stream-triad"},
+      {{"--compilers", "gcc,icx"}, "text gcc icx"},
+      {{"--opt", "O1,Ofast", "--csv"}, "csv O1 Ofast"},
+      // A missing value.
+      {{"--models"}, "--models needs a value"},
+      {{"--csv", "--cores"}, "--cores needs a value"},
+      {{"--machine-file"}, "--machine-file needs a value"},
+      // An unknown value, per list flag.
+      {{"--models", "foo"}, "--models: unknown value 'foo'"},
+      {{"--models", "osaca,"}, "--models: unknown value ''"},
+      {{"--machines", "nope"}, "--machines: unknown value 'nope'"},
+      {{"--kernels", "nope"}, "--kernels: unknown value 'nope'"},
+      {{"--compilers", "x"}, "--compilers: unknown value 'x'"},
+      {{"--opt", "O9"}, "--opt: unknown value 'O9'"},
+      // An unknown flag; --jobs belongs to the CLI, not the grammar.
+      {{"--bogus"}, "unknown sweep flag '--bogus'"},
+      {{"--jobs", "2"}, "unknown sweep flag '--jobs'"},
+      // Bad core counts.
+      {{"--cores", "2x"}, cores + ", got '2x'"},
+      {{"--cores", "0"}, cores + ", got '0'"},
+      {{"--cores", "1025"}, cores + ", got '1025'"},
+      {{"--cores", "4,-1"}, cores + ", got '-1'"},
+      {{"--cores", "1,,2"}, cores + ", got ''"},
+  };
+  for (const auto& c : cases) {
+    const server::SweepArgs a = server::parse_sweep_args(c.tokens);
+    std::string joined;
+    for (const std::string& t : c.tokens) joined += t + " ";
+    EXPECT_EQ(describe(a), c.expected) << joined;
+    EXPECT_EQ(a.unknown_flag, c.expected.starts_with("unknown sweep flag"))
+        << joined;
+  }
+}
+
+TEST(SweepGrammar, FrontEndFlagsRideAlong) {
+  // The CLI's --jobs goes through the hook; the grammar keeps parsing
+  // around it, and a hook error stops the parse.
+  int jobs = 0;
+  const server::FlagHook hook = [&jobs](const std::vector<std::string>& t,
+                                        std::size_t& i, std::string& error) {
+    if (t[i] != "--jobs") return false;
+    if (t[++i] == "bad") error = "bad jobs";
+    jobs = std::atoi(t[i].c_str());
+    return true;
+  };
+  const server::SweepArgs ok =
+      server::parse_sweep_args({"--csv", "--jobs", "3", "--opt", "O2"}, hook);
+  EXPECT_EQ(describe(ok), "csv O2");
+  EXPECT_EQ(jobs, 3);
+  const server::SweepArgs bad =
+      server::parse_sweep_args({"--jobs", "bad", "--bogus"}, hook);
+  EXPECT_EQ(bad.error, "bad jobs");
+  EXPECT_FALSE(bad.unknown_flag);
+  EXPECT_EQ(describe(server::parse_sweep_args({"--nope"}, hook)),
+            "unknown sweep flag '--nope'");
+}
+
+TEST(ServerContext, SweepRejectsBadCoreCountsLikeTheCli) {
+  // The daemon once parsed --cores with atoi: "2x" ran as 2 and 1025 was
+  // accepted.  It now shares the CLI's grammar and its diagnostic.
+  server::ServerContext ctx;
+  bool shutdown = false;
+  for (const std::string bad : {"2x", "0", "1025"}) {
+    EXPECT_EQ(ctx.handle("sweep --kernels sum --cores " + bad, shutdown),
+              server::error_reply(
+                  "sweep: --cores expects core counts in [1, 1024], got '" +
+                  bad + "'"));
+  }
+  EXPECT_EQ(ctx.handle("sweep --models", shutdown),
+            server::error_reply("sweep: --models needs a value"));
+  EXPECT_EQ(ctx.errors(), 4u);
 }

@@ -13,11 +13,11 @@
 
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 
 #include "driver/predictor.hpp"
+#include "driver/sweep.hpp"
 #include "kernels/kernels.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
@@ -80,13 +80,12 @@ TEST(TrafficGolden, CorpusResultsAreBitIdentical) {
       read_golden(INCORE_TRAFFIC_GOLDEN);
   ASSERT_FALSE(golden.empty()) << "missing golden " << INCORE_TRAFFIC_GOLDEN;
 
-  std::set<std::string> seen;
   std::ostringstream actual;
   std::size_t blocks = 0;
   std::size_t mismatches = 0;
-  for (const kernels::Variant& v : kernels::test_matrix()) {
-    const driver::Block b = driver::make_block(v);
-    if (!seen.insert(b.hash).second) continue;
+  for (const driver::Block& b :
+       driver::dedup_blocks(kernels::test_matrix()).blocks) {
+    const kernels::Variant& v = b.variant;
     ++blocks;
     const std::string text = dump(traffic::analyze(b.gen.program, *b.mm));
     const std::string hash = support::hex64(support::fnv1a64(text));

@@ -24,6 +24,7 @@
 #include "asmir/parser.hpp"
 #include "dataflow/dataflow.hpp"
 #include "driver/predictor.hpp"
+#include "driver/sweep.hpp"
 #include "kernels/kernels.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -374,10 +375,8 @@ TEST(TrafficLints, NonTemporalStoreDetection) {
 // must actually prove a MustOverlap load-load pair -- the lint never rests
 // on may-alias guesses.
 TEST(TrafficLints, CorpusVt004SitesAreMustAliasPairs) {
-  std::set<std::string> seen;
-  for (const kernels::Variant& v : kernels::test_matrix()) {
-    driver::Block b = driver::make_block(v);
-    if (!seen.insert(b.hash).second) continue;
+  for (const driver::Block& b :
+       driver::dedup_blocks(kernels::test_matrix()).blocks) {
     verify::DiagnosticSink sink;
     traffic::lint_traffic(b.gen.program, *b.mm, b.variant.label(), sink);
     bool vt004 = false;
@@ -396,7 +395,7 @@ TEST(TrafficLints, CorpusVt004SitesAreMustAliasPairs) {
         }
       }
     }
-    EXPECT_TRUE(must_pair) << v.label();
+    EXPECT_TRUE(must_pair) << b.variant.label();
   }
 }
 

@@ -25,7 +25,6 @@
 #include <functional>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -48,6 +47,7 @@
 #include "power/power.hpp"
 #include "report/json.hpp"
 #include "server/server.hpp"
+#include "server/sweep_args.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 #include "support/threadpool.hpp"
@@ -104,10 +104,9 @@ int usage() {
       "  lat <machine> <template>         instruction latency microbench\n"
       "  ecm <machine> <kernel>           ECM decomposition at -O3; the\n"
       "                  transfer terms come from the static traffic engine\n"
-      "       --legacy-traffic uses the pre-PR-7 kernel-metadata streaming\n"
-      "                  guess instead; --cores n1,n2,.. prints the N-core\n"
-      "                  scaling curve; --crosscheck validates the scaling\n"
-      "                  law against the memory simulators (--json)\n"
+      "       --cores n1,n2,.. prints the N-core scaling curve;\n"
+      "                  --crosscheck validates the scaling law against\n"
+      "                  the memory simulators (--json)\n"
       "  ecm --all                        corpus gate: every unique block's\n"
       "                  scaling law vs the memory simulators (VP014)\n"
       "  traffic <machine> [file.s]       static memory streams and\n"
@@ -281,172 +280,123 @@ int cmd_analyze(int argc, char** argv) {
   return 0;
 }
 
-// ------------------------------------------------------------------ sweep
+// ----------------------------------------------------------- corpus gates
 
-bool parse_list(const std::string& flag, const std::string& arg,
-                const std::function<bool(const std::string&)>& add) {
-  for (std::string_view part : support::split(arg, ',')) {
-    const std::string item(support::trim(part));
-    if (item.empty() || !add(item)) {
-      std::fprintf(stderr, "%s: unknown value '%s'\n", flag.c_str(),
-                   item.c_str());
-      return false;
+int finish_lint(const verify::DiagnosticSink& sink, bool json, bool werror,
+                bool verbose);
+
+/// How one corpus block fared in a gate.
+enum class Outcome : std::uint8_t { Pass, Attributed, Fail };
+
+struct Tally {
+  std::size_t pass = 0;
+  std::size_t attributed = 0;
+  std::size_t failed = 0;
+  void add(Outcome o) {
+    if (o == Outcome::Pass) {
+      ++pass;
+    } else if (o == Outcome::Attributed) {
+      ++attributed;
+    } else {
+      ++failed;
     }
   }
-  return true;
+};
+
+/// An audit verdict: "pass", "divergent:<cause>" (attributed), anything
+/// else fails.
+Outcome classify_verdict(const std::string& v) {
+  if (v == "pass") return Outcome::Pass;
+  return v.starts_with("divergent") ? Outcome::Attributed : Outcome::Fail;
 }
 
-int cmd_sweep(int argc, char** argv) {
-  driver::SweepOptions opt;
-  enum class Out : std::uint8_t { Text, Csv, Json };
-  Out out = Out::Text;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", a.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--csv") {
-      out = Out::Csv;
-    } else if (a == "--json") {
-      out = Out::Json;
-    } else if (a == "--audit") {
-      // The driver is audit-agnostic; the CLI installs the hook.  Each call
-      // gets its own sink: the verdict string carries the failed codes.
-      opt.audit = [](const driver::Block& b) {
-        verify::DiagnosticSink sink;
-        return audit::verdict_string(audit::audit_block(b, sink));
-      };
-    } else if (a == "--traffic") {
-      // Same hook discipline: memory read/write lines per iteration from
-      // the static stream analysis (no simulation).
-      opt.traffic = [](const driver::Block& b) {
-        const traffic::Result r = traffic::analyze(b.gen.program, *b.mm);
-        return support::format("%.3fr+%.3fw%s", r.volumes.mem_read,
-                               r.volumes.mem_write, r.exact ? "" : "+");
-      };
-    } else if (a == "--jobs") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      // 0 is the documented "auto" value; anything non-numeric, negative or
-      // absurd gets a diagnostic instead of silently clamping (a negative
-      // atoi result used to fall into the auto path).
-      char* end = nullptr;
-      const long n = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || n < 0 || n > 4096) {
-        std::fprintf(stderr,
-                     "sweep: --jobs expects a worker count between 0 (auto) "
-                     "and 4096, got '%s'\n",
-                     v);
-        return 2;
-      }
-      opt.jobs = n == 0 ? support::ThreadPool::default_jobs()
-                        : static_cast<int>(n);
-    } else if (a == "--cores") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      bool ok = true;
-      for (std::string_view part : support::split(v, ',')) {
-        const std::string item(support::trim(part));
-        char* end = nullptr;
-        const long n = std::strtol(item.c_str(), &end, 10);
-        if (item.empty() || end == item.c_str() || *end != '\0' || n < 1 ||
-            n > 1024) {
-          std::fprintf(stderr,
-                       "sweep: --cores expects core counts in [1, 1024], "
-                       "got '%s'\n",
-                       item.c_str());
-          ok = false;
-          break;
-        }
-        opt.cores.push_back(static_cast<int>(n));
-      }
-      if (!ok) return 2;
-    } else if (a == "--models") {
-      const char* v = value();
-      if (v == nullptr ||
-          !parse_list(a, v, [&](const std::string& s) {
-            driver::Model m;
-            if (!driver::model_from_name(s, m)) return false;
-            opt.models.push_back(m);
-            return true;
-          })) {
-        return 2;
-      }
-    } else if (a == "--machines") {
-      const char* v = value();
-      if (v == nullptr || !parse_list(a, v, [&](const std::string& s) {
-            uarch::MachineRef ref;
-            if (!uarch::try_resolve_machine(s, ref)) return false;
-            opt.machines.push_back(std::move(ref));
-            return true;
-          })) {
-        return 2;
-      }
-    } else if (a == "--machine-file") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      opt.machines.push_back(uarch::resolve_machine(v));
-    } else if (a == "--kernels") {
-      const char* v = value();
-      if (v == nullptr || !parse_list(a, v, [&](const std::string& s) {
-            for (kernels::Kernel k : kernels::all_kernels()) {
-              if (s == kernels::to_string(k)) {
-                opt.kernels.push_back(k);
-                return true;
-              }
-            }
-            return false;
-          })) {
-        return 2;
-      }
-    } else if (a == "--compilers") {
-      const char* v = value();
-      if (v == nullptr || !parse_list(a, v, [&](const std::string& s) {
-            for (kernels::Compiler c :
-                 {kernels::Compiler::Gcc, kernels::Compiler::Clang,
-                  kernels::Compiler::OneApi, kernels::Compiler::ArmClang}) {
-              if (s == kernels::to_string(c)) {
-                opt.compilers.push_back(c);
-                return true;
-              }
-            }
-            return false;
-          })) {
-        return 2;
-      }
-    } else if (a == "--opt") {
-      const char* v = value();
-      if (v == nullptr || !parse_list(a, v, [&](const std::string& s) {
-            for (kernels::OptLevel o :
-                 {kernels::OptLevel::O1, kernels::OptLevel::O2,
-                  kernels::OptLevel::O3, kernels::OptLevel::Ofast}) {
-              if (s == kernels::to_string(o)) {
-                opt.opt_levels.push_back(o);
-                return true;
-              }
-            }
-            return false;
-          })) {
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown sweep flag '%s'\n", a.c_str());
-      return usage();
-    }
-  }
+/// A gate's per-block check: reports through the sink, returns the verdict.
+using GateCheck =
+    std::function<Outcome(const driver::Block&, verify::DiagnosticSink&)>;
 
-  const driver::SweepResult r = driver::sweep(opt);
+/// A simulator cross-check (VP011, VP014) as a gate check: an error fails
+/// the block, any other diagnostic attributes its divergence.
+template <typename Options>
+GateCheck simulator_check(std::size_t (*check)(const asmir::Program&,
+                                               const uarch::MachineModel&,
+                                               std::string,
+                                               verify::DiagnosticSink&,
+                                               const Options&)) {
+  return [check](const driver::Block& b, verify::DiagnosticSink& sink) {
+    const std::size_t before = sink.diagnostics().size();
+    check(b.gen.program, *b.mm,
+          support::format("kernel '%s' on '%s'", b.variant.label().c_str(),
+                          b.mm->name().c_str()),
+          sink, Options{});
+    const auto& d = sink.diagnostics();
+    const bool err = std::any_of(
+        d.begin() + static_cast<std::ptrdiff_t>(before), d.end(),
+        [](const verify::Diagnostic& x) {
+          return x.severity == verify::Severity::Error;
+        });
+    if (err) return Outcome::Fail;
+    return d.size() > before ? Outcome::Attributed : Outcome::Pass;
+  };
+}
+
+/// Runs one corpus gate serially over every unique (machine, assembly)
+/// block of the validation matrix, in first-seen order, and prints
+/// "<verb> N unique corpus blocks: P <pass>, A <attributed>, F fail".
+int run_gate(const char* verb, const char* pass, const char* attributed,
+             bool json, bool verbose, const GateCheck& check) {
+  const std::vector<driver::Block> blocks =
+      driver::dedup_blocks(kernels::test_matrix()).blocks;
+  verify::DiagnosticSink sink;
+  Tally t;
+  for (const driver::Block& b : blocks) t.add(check(b, sink));
+  if (!json) {
+    std::printf("%s %zu unique corpus blocks: %zu %s, %zu %s, %zu fail\n",
+                verb, blocks.size(), t.pass, pass, t.attributed, attributed,
+                t.failed);
+  }
+  return finish_lint(sink, json, /*werror=*/false, verbose);
+}
+
+// ------------------------------------------------------------------ sweep
+
+int cmd_sweep(int argc, char** argv) {
+  // --jobs is the CLI's own flag: a daemon's core is sized at its start.
+  int jobs = 1;
+  auto jobs_flag = [&jobs](const std::vector<std::string>& tokens,
+                           std::size_t& i, std::string& error) {
+    if (tokens[i] != "--jobs") return false;
+    if (i + 1 >= tokens.size()) {
+      error = "--jobs needs a value";
+      return true;
+    }
+    // 0 is the documented "auto" value; anything non-numeric, negative or
+    // absurd gets a diagnostic instead of silently clamping.
+    const std::string& v = tokens[++i];
+    char* end = nullptr;
+    const long n = std::strtol(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || n < 0 || n > 4096) {
+      error = "sweep: --jobs expects a worker count between 0 (auto) and "
+              "4096, got '" + v + "'";
+      return true;
+    }
+    jobs = n == 0 ? support::ThreadPool::default_jobs() : static_cast<int>(n);
+    return true;
+  };
+  server::SweepArgs args = server::parse_sweep_args(
+      std::vector<std::string>(argv + 2, argv + argc), jobs_flag);
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "%s\n", args.error.c_str());
+    return args.unknown_flag ? usage() : 2;
+  }
+  args.options.jobs = jobs;
+  const driver::SweepResult r = driver::sweep(args.options);
   if (r.rows.empty()) {
     std::fprintf(stderr, "sweep: the filters leave an empty matrix\n");
     return 1;
   }
-  if (out == Out::Csv) {
+  if (args.format == server::SweepFormat::Csv) {
     std::fputs(driver::to_csv(r).c_str(), stdout);
-  } else if (out == Out::Json) {
+  } else if (args.format == server::SweepFormat::Json) {
     std::fputs(driver::to_json(r).c_str(), stdout);
   } else {
     const auto& st = r.stats;
@@ -465,21 +415,11 @@ int cmd_sweep(int argc, char** argv) {
       std::printf("       %zu evaluations FAILED\n", st.failed);
     }
     if (!r.audit_verdicts.empty()) {
-      std::size_t pass = 0;
-      std::size_t divergent = 0;
-      std::size_t failed = 0;
-      for (const std::string& v : r.audit_verdicts) {
-        if (v == "pass") {
-          ++pass;
-        } else if (v.starts_with("divergent")) {
-          ++divergent;
-        } else {
-          ++failed;
-        }
-      }
+      Tally t;
+      for (const std::string& v : r.audit_verdicts) t.add(classify_verdict(v));
       std::printf("       audit: %zu pass, %zu divergent, %zu fail of %zu "
                   "unique blocks\n",
-                  pass, divergent, failed, r.audit_verdicts.size());
+                  t.pass, t.attributed, t.failed, r.audit_verdicts.size());
     }
     const std::string scaling = driver::scaling_summary(r);
     if (!scaling.empty()) std::fputs(scaling.c_str(), stdout);
@@ -730,58 +670,17 @@ int cmd_microbench(const std::string& machine_name, const std::string& tmpl,
   return 0;
 }
 
-int finish_lint(const verify::DiagnosticSink& sink, bool json, bool werror,
-                bool verbose);
-
-/// Corpus ECM gate: the scaling law of every unique (machine, assembly)
-/// block cross-validated against the memory simulators (VP014); every
-/// divergence must carry a memory-side attribution.
+/// Corpus ECM gate: the scaling law of every unique block cross-validated
+/// against the memory simulators (VP014); every divergence must carry a
+/// memory-side attribution.
 int cmd_ecm_all(bool json, bool verbose) {
-  std::vector<driver::Block> blocks;
-  {
-    std::set<std::string> seen;
-    for (const kernels::Variant& v : kernels::test_matrix()) {
-      driver::Block b = driver::make_block(v);
-      if (!seen.insert(b.hash).second) continue;
-      blocks.push_back(std::move(b));
-    }
-  }
-  verify::DiagnosticSink sink;
-  std::size_t agree = 0;
-  std::size_t attributed = 0;
-  std::size_t failed = 0;
-  for (const driver::Block& b : blocks) {
-    const std::size_t before = sink.diagnostics().size();
-    ecm::check_scaling_vs_simulation(
-        b.gen.program, *b.mm,
-        support::format("kernel '%s' on '%s'", b.variant.label().c_str(),
-                        b.mm->name().c_str()),
-        sink);
-    bool err = false;
-    for (std::size_t i = before; i < sink.diagnostics().size(); ++i) {
-      err |= sink.diagnostics()[i].severity == verify::Severity::Error;
-    }
-    if (err) {
-      ++failed;
-    } else if (sink.diagnostics().size() > before) {
-      ++attributed;
-    } else {
-      ++agree;
-    }
-  }
-  if (!json) {
-    std::printf(
-        "ECM-validated %zu unique corpus blocks: %zu agree, %zu attributed, "
-        "%zu fail\n",
-        blocks.size(), agree, attributed, failed);
-  }
-  return finish_lint(sink, json, /*werror=*/false, verbose);
+  return run_gate("ECM-validated", "agree", "attributed", json, verbose,
+                  simulator_check(ecm::check_scaling_vs_simulation));
 }
 
 int cmd_ecm(int argc, char** argv) {
   std::string machine_name;
   std::string kernel_name;
-  bool legacy = false;
   bool crosscheck = false;
   bool json = false;
   bool all = false;
@@ -789,10 +688,8 @@ int cmd_ecm(int argc, char** argv) {
   std::vector<int> cores;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--legacy-traffic") {
-      legacy = true;
-    } else if (a == "--analytic") {
-      // The analytic traffic engine is the default since PR 7; the old
+    if (a == "--analytic") {
+      // The static traffic engine is the only traffic source; the old
       // opt-in flag stays accepted.
     } else if (a == "--crosscheck") {
       crosscheck = true;
@@ -807,13 +704,14 @@ int cmd_ecm(int argc, char** argv) {
         std::fprintf(stderr, "--cores needs a value\n");
         return 2;
       }
-      if (!parse_list(a, argv[++i], [&](const std::string& s) {
-            const int n = std::atoi(s.c_str());
-            if (n <= 0) return false;
-            cores.push_back(n);
-            return true;
-          })) {
-        return 2;
+      for (std::string_view part : support::split(argv[++i], ',')) {
+        const std::string item(support::trim(part));
+        const int n = std::atoi(item.c_str());
+        if (n <= 0) {
+          std::fprintf(stderr, "--cores: unknown value '%s'\n", item.c_str());
+          return 2;
+        }
+        cores.push_back(n);
       }
     } else if (a.starts_with("--")) {
       std::fprintf(stderr, "unknown ecm flag '%s'\n", a.c_str());
@@ -850,24 +748,13 @@ int cmd_ecm(int argc, char** argv) {
   const auto& mm = *ref.model;
   const analysis::Report rep = analysis::analyze(g.program, mm);
   const ecm::HierarchyParams h = ecm::hierarchy_for(mm);
-  ecm::Prediction p;
-  if (legacy) {
-    // Pre-PR-7 path: streaming guess from kernel metadata, blind to layer
-    // conditions, NT stores and write-allocate evasion.
-    const ecm::Traffic t = ecm::traffic_for(v, g.elements_per_iteration);
-    p = ecm::predict(rep, t, h);
-    std::printf("legacy streaming traffic: %.3f load + %.3f store + %.3f "
-                "write-allocate lines/iter\n",
-                t.load_lines, t.store_lines, t.wa_lines);
-  } else {
-    const traffic::Result tr = traffic::analyze(g.program, mm);
-    const ecm::BoundaryTraffic t = ecm::boundary_traffic(tr.volumes);
-    p = ecm::predict(rep, t, h);
-    std::printf("boundary traffic: L1-L2 %.3f | L2-L3 %.3f | L3-Mem %.3f "
-                "lines/iter (%zu streams%s)\n",
-                t.lines_l1l2, t.lines_l2l3, t.lines_l3mem, tr.streams.size(),
-                tr.exact ? "" : ", inexact");
-  }
+  const traffic::Result tr = traffic::analyze(g.program, mm);
+  const ecm::BoundaryTraffic t = ecm::boundary_traffic(tr.volumes);
+  const ecm::Prediction p = ecm::predict(rep, t, h);
+  std::printf("boundary traffic: L1-L2 %.3f | L2-L3 %.3f | L3-Mem %.3f "
+              "lines/iter (%zu streams%s)\n",
+              t.lines_l1l2, t.lines_l2l3, t.lines_l3mem, tr.streams.size(),
+              tr.exact ? "" : ", inexact");
   std::printf("T_OL %.2f | T_nOL %.2f | L1-L2 %.2f | L2-L3 %.2f | "
               "L3-Mem %.2f cy/iter\n",
               p.t_ol, p.t_nol, p.t_l1l2, p.t_l2l3, p.t_l3mem);
@@ -1050,34 +937,20 @@ int cmd_lint_all(bool json, bool werror, bool verbose) {
 
   // The generated kernel corpus, deduplicated by (target, assembly): the
   // 416-variant matrix collapses to the unique codegen blocks.
-  struct CorpusItem {
-    std::string label;
-    kernels::GeneratedKernel gen;
-    const uarch::MachineModel* target;
-  };
-  std::vector<CorpusItem> items;
-  {
-    std::set<std::string> seen;
-    for (const kernels::Variant& v : kernels::test_matrix()) {
-      kernels::GeneratedKernel g = kernels::generate(v);
-      std::string key = uarch::machine(v.target).name() + '\x01' + g.assembly;
-      if (!seen.insert(std::move(key)).second) continue;
-      items.push_back(
-          CorpusItem{v.label(), std::move(g), &uarch::machine(v.target)});
-    }
-  }
+  const std::vector<driver::Block> blocks =
+      driver::dedup_blocks(kernels::test_matrix()).blocks;
   // Compiler-generated kernels legitimately carry accumulators and
   // induction variables across iterations; suppress the VK001 notes here
   // (they stay on for user-supplied files).
   verify::KernelLintOptions kopt;
   kopt.flag_loop_carried_inputs = false;
   std::vector<verify::CorpusEntry> corpus;
-  corpus.reserve(items.size());
-  for (const CorpusItem& it : items) {
-    verify::lint_program(it.gen.program, *it.target, it.label, sink, kopt);
-    traffic::lint_traffic(it.gen.program, *it.target, it.label, sink);
-    corpus.push_back(
-        verify::CorpusEntry{it.label, &it.gen.program, it.target});
+  corpus.reserve(blocks.size());
+  for (const driver::Block& b : blocks) {
+    const std::string label = b.variant.label();
+    verify::lint_program(b.gen.program, *b.mm, label, sink, kopt);
+    traffic::lint_traffic(b.gen.program, *b.mm, label, sink);
+    corpus.push_back(verify::CorpusEntry{label, &b.gen.program, b.mm});
   }
 
   // Cross-model coverage over the testbed trio (the auxiliary Ice Lake SP
@@ -1088,7 +961,7 @@ int cmd_lint_all(bool json, bool werror, bool verbose) {
 
   if (!json) {
     std::printf("linted %zu models, %zu unique corpus kernels\n",
-                models.size(), items.size());
+                models.size(), blocks.size());
   }
   return finish_lint(sink, json, werror, verbose);
 }
@@ -1163,43 +1036,15 @@ int cmd_lint(int argc, char** argv) {
 // ------------------------------------------------------------------ audit
 
 int cmd_audit_all(bool json, bool verbose, bool traffic, bool ecm) {
-  // Same corpus and dedup discipline as `lint --all-models`: the matrix
-  // collapses to unique (machine, assembly) blocks, each audited once, in
-  // deterministic first-seen order.
-  std::vector<driver::Block> blocks;
-  {
-    std::set<std::string> seen;
-    for (const kernels::Variant& v : kernels::test_matrix()) {
-      driver::Block b = driver::make_block(v);
-      if (!seen.insert(b.hash).second) continue;
-      blocks.push_back(std::move(b));
-    }
-  }
-  verify::DiagnosticSink sink;
   audit::AuditOptions aopt;
   aopt.check_traffic = traffic;
   aopt.check_ecm = ecm;
-  std::size_t pass = 0;
-  std::size_t divergent = 0;
-  std::size_t failed = 0;
-  for (const driver::Block& b : blocks) {
-    const audit::BlockAudit a = audit::audit_block(b, sink, aopt);
-    const std::string v = audit::verdict_string(a);
-    if (v == "pass") {
-      ++pass;
-    } else if (v.starts_with("divergent")) {
-      ++divergent;
-    } else {
-      ++failed;
-    }
-  }
-  if (!json) {
-    std::printf(
-        "audited %zu unique corpus blocks: %zu pass, %zu divergent, %zu "
-        "fail\n",
-        blocks.size(), pass, divergent, failed);
-  }
-  return finish_lint(sink, json, /*werror=*/false, verbose);
+  return run_gate("audited", "pass", "divergent", json, verbose,
+                  [&aopt](const driver::Block& b,
+                          verify::DiagnosticSink& sink) {
+                    return classify_verdict(audit::verdict_string(
+                        audit::audit_block(b, sink, aopt)));
+                  });
 }
 
 int cmd_audit_one(const std::string& machine_name, const char* path,
@@ -1280,49 +1125,12 @@ int cmd_audit(int argc, char** argv) {
 
 // ---------------------------------------------------------------- traffic
 
+/// Corpus traffic gate: the static volumes of every unique block
+/// cross-validated against the trace simulator on its own target machine
+/// (VP011).
 int cmd_traffic_all(bool json, bool verbose) {
-  // Same corpus and dedup discipline as `audit --all`: every unique
-  // (machine, assembly) block is cross-validated against the trace
-  // simulator on its own target machine -- the VP011 gate.
-  std::vector<driver::Block> blocks;
-  {
-    std::set<std::string> seen;
-    for (const kernels::Variant& v : kernels::test_matrix()) {
-      driver::Block b = driver::make_block(v);
-      if (!seen.insert(b.hash).second) continue;
-      blocks.push_back(std::move(b));
-    }
-  }
-  verify::DiagnosticSink sink;
-  std::size_t agree = 0;
-  std::size_t attributed = 0;
-  std::size_t failed = 0;
-  for (const driver::Block& b : blocks) {
-    const std::size_t before = sink.diagnostics().size();
-    traffic::check_traffic_vs_simulation(
-        b.gen.program, *b.mm,
-        support::format("kernel '%s' on '%s'", b.variant.label().c_str(),
-                        b.mm->name().c_str()),
-        sink);
-    bool err = false;
-    for (std::size_t i = before; i < sink.diagnostics().size(); ++i) {
-      err |= sink.diagnostics()[i].severity == verify::Severity::Error;
-    }
-    if (err) {
-      ++failed;
-    } else if (sink.diagnostics().size() > before) {
-      ++attributed;
-    } else {
-      ++agree;
-    }
-  }
-  if (!json) {
-    std::printf(
-        "cross-validated %zu unique corpus blocks: %zu agree, %zu "
-        "attributed, %zu fail\n",
-        blocks.size(), agree, attributed, failed);
-  }
-  return finish_lint(sink, json, /*werror=*/false, verbose);
+  return run_gate("cross-validated", "agree", "attributed", json, verbose,
+                  simulator_check(traffic::check_traffic_vs_simulation));
 }
 
 int cmd_traffic_one(const std::string& machine_name, const char* path,
