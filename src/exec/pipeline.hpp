@@ -16,6 +16,7 @@
 // oldest-first issue onto ports with multi-cycle occupancy (non-pipelined
 // units), a load/store queue, and in-order retirement.
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -122,6 +123,9 @@ struct PipelineResult {
   int eliminated_zero_idioms = 0;
   /// Recorded when PipelineConfig::timeline_iterations > 0.
   std::vector<TimelineEvent> timeline;
+  /// Cycles actually stepped.  Below total_cycles + 1 when the periodic
+  /// jump skipped whole periods; it is not part of the measurement.
+  std::uint64_t simulated_cycles = 0;
 };
 
 /// Renders recorded events as an llvm-mca-style ASCII timeline:
@@ -129,10 +133,23 @@ struct PipelineResult {
 [[nodiscard]] std::string render_timeline(
     const std::vector<TimelineEvent>& events, const asmir::Program& prog);
 
-/// Simulate `prog` as an infinite loop on the machine `mm`.
+/// Simulate `prog` as an infinite loop on the machine `mm`: warm-up plus
+/// measured iterations, cycle by cycle, until the last one retires (or the
+/// simulator's cap of 30 M cycles).  Once the pipeline state provably
+/// repeats, whole periods are skipped; every field but simulated_cycles is
+/// the same as stepping through them (docs/methodology.md).
 /// Throws support::UnknownInstruction if the model lacks a required form.
 [[nodiscard]] PipelineResult simulate_loop(const asmir::Program& prog,
                                            const uarch::MachineModel& mm,
                                            const PipelineConfig& cfg);
+
+namespace detail {
+/// The engine behind simulate_loop; `periodic_jump = false` steps every
+/// cycle, the reference the jump is tested against.
+[[nodiscard]] PipelineResult simulate_loop(const asmir::Program& prog,
+                                           const uarch::MachineModel& mm,
+                                           const PipelineConfig& cfg,
+                                           bool periodic_jump);
+}  // namespace detail
 
 }  // namespace incore::exec

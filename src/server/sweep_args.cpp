@@ -1,5 +1,6 @@
 #include "server/sweep_args.hpp"
 
+#include <climits>
 #include <cstdlib>
 
 #include "audit/audit.hpp"
@@ -60,25 +61,71 @@ bool add_named(const Values& values, const std::string& name,
   return false;
 }
 
-/// Core counts: integers in [1, 1024]; anything non-numeric, trailing
-/// junk or out of range is rejected with the offending item.
-void add_cores(const std::string& list, std::vector<int>& out,
-               std::string& error) {
-  for (const std::string_view part : support::split(list, ',')) {
-    const std::string item(support::trim(part));
-    char* end = nullptr;
-    const long n = std::strtol(item.c_str(), &end, 10);
-    if (item.empty() || end == item.c_str() || *end != '\0' || n < 1 ||
-        n > 1024) {
-      error = "sweep: --cores expects core counts in [1, 1024], got '" +
-              item + "'";
-      return;
-    }
-    out.push_back(static_cast<int>(n));
-  }
+/// A whole decimal integer in [lo, hi]: no trailing junk.
+bool parse_bounded(const std::string& text, long lo, long hi, long& out) {
+  char* end = nullptr;
+  out = std::strtol(text.c_str(), &end, 10);
+  return !text.empty() && end != text.c_str() && *end == '\0' && out >= lo &&
+         out <= hi;
 }
 
 }  // namespace
+
+bool parse_core_counts(const std::string& list, std::vector<int>& out,
+                       std::string& error, std::string_view command) {
+  for (const std::string_view part : support::split(list, ',')) {
+    const std::string item(support::trim(part));
+    long n = 0;
+    if (!parse_bounded(item, 1, 1024, n)) {
+      error = std::string(command) +
+              ": --cores expects core counts in [1, 1024], got '" + item + "'";
+      return false;
+    }
+    out.push_back(static_cast<int>(n));
+  }
+  return true;
+}
+
+ServeArgs parse_serve_args(const std::vector<std::string>& tokens,
+                           std::string_view prefix) {
+  ServeArgs out;
+  auto fail = [&](const std::string& flag, const char* expects,
+                  const std::string& got) {
+    out.error = std::string(prefix) + ": " + flag + " expects " + expects +
+                ", got '" + got + "'";
+  };
+  for (std::size_t i = 0; i < tokens.size() && out.error.empty(); ++i) {
+    const std::string& a = tokens[i];
+    const bool has_value = i + 1 < tokens.size();
+    long n = 0;
+    if (a == "--socket" && has_value) {
+      out.options.socket_path = tokens[++i];
+    } else if (a == "--workers" && has_value) {
+      if (!parse_bounded(tokens[++i], 1, 256, n)) {
+        fail(a, "a count in [1, 256]", tokens[i]);
+        continue;
+      }
+      out.options.service.evaluate_workers = static_cast<int>(n);
+      out.options.service.finalize_workers = static_cast<int>(n);
+    } else if (a == "--queue" && has_value) {
+      if (!parse_bounded(tokens[++i], 1, LONG_MAX, n)) {
+        fail(a, "a positive capacity", tokens[i]);
+        continue;
+      }
+      out.options.service.queue_capacity = static_cast<std::size_t>(n);
+    } else if (a == "--memo" && has_value) {
+      if (!parse_bounded(tokens[++i], 0, LONG_MAX, n)) {
+        fail(a, "a non-negative capacity (0 = unbounded)", tokens[i]);
+        continue;
+      }
+      out.options.service.memo_capacity = static_cast<std::size_t>(n);
+    } else {
+      out.error = "unknown serve flag '" + a + "'";
+      out.unknown_flag = true;
+    }
+  }
+  return out;
+}
 
 SweepArgs parse_sweep_args(const std::vector<std::string>& tokens,
                            const FlagHook& front_end) {
@@ -105,7 +152,8 @@ SweepArgs parse_sweep_args(const std::vector<std::string>& tokens,
     } else if (a == "--traffic") {
       opt.traffic = traffic_line;
     } else if (a == "--cores") {
-      if (const std::string* v = value()) add_cores(*v, opt.cores, out.error);
+      if (const std::string* v = value())
+        (void)parse_core_counts(*v, opt.cores, out.error);
     } else if (a == "--models") {
       list([&](const std::string& s) {
         driver::Model m;

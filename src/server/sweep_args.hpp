@@ -13,13 +13,18 @@
 //
 // The driver stays audit- and traffic-agnostic; this layer sits above
 // driver, audit and traffic, so it is where the passes are defined.
+//
+// The daemon's own flags (`incore-cli serve`, `incore-server`) have one
+// grammar here too: parse_serve_args.
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "driver/sweep.hpp"
+#include "server/server.hpp"
 
 namespace incore::server {
 
@@ -50,6 +55,32 @@ struct SweepArgs {
 /// token used) and sets `error` when the value is bad.
 using FlagHook = std::function<bool(const std::vector<std::string>& tokens,
                                     std::size_t& i, std::string& error)>;
+
+/// Appends the comma-separated core counts of `list` (each an integer in
+/// [1, 1024]) to `out`.  On the first bad item, returns false with the
+/// diagnostic "<command>: --cores expects core counts in [1, 1024], got
+/// '<item>'" in `error`.
+[[nodiscard]] bool parse_core_counts(const std::string& list,
+                                     std::vector<int>& out, std::string& error,
+                                     std::string_view command = "sweep");
+
+struct ServeArgs {
+  ServerOptions options;
+  /// Empty on success; otherwise the diagnostic.
+  std::string error;
+  /// The failure is a flag the grammar does not know.
+  bool unknown_flag = false;
+};
+
+/// Parses daemon flag tokens (no command word):
+///     --socket <path>  (the front end requires it)
+///     --workers N      evaluate/finalize stage workers, N in [1, 256]
+///     --queue N        per-stage queue capacity, N >= 1
+///     --memo N         prediction-memo LRU capacity, 0 = unbounded
+/// Values are whole decimal integers.  Diagnostics start with `prefix`
+/// ("serve", "incore-server"), except an unknown flag's.
+[[nodiscard]] ServeArgs parse_serve_args(const std::vector<std::string>& tokens,
+                                         std::string_view prefix);
 
 /// Parses sweep flag tokens (no command word), stopping at the first error.
 [[nodiscard]] SweepArgs parse_sweep_args(const std::vector<std::string>& tokens,

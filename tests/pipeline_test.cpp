@@ -4,8 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+
 #include "asmir/parser.hpp"
+#include "driver/sweep.hpp"
+#include "exec/exec.hpp"
 #include "exec/pipeline.hpp"
+#include "kernels/kernels.hpp"
+#include "mca/mca.hpp"
+#include "random_bodies.hpp"
 #include "uarch/model.hpp"
 
 using namespace incore;
@@ -234,4 +242,169 @@ TEST(Timeline, OffByDefault) {
   auto p = parse("vaddpd %ymm1, %ymm2, %ymm0\n", mm);
   auto r = simulate_loop(p, mm, plain());
   EXPECT_TRUE(r.timeline.empty());
+}
+
+// ------------------------------------------------------------ periodic jump
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a[i], b[i])) return false;
+  return true;
+}
+
+// Every field but simulated_cycles, bit for bit.
+bool same_result(const exec::PipelineResult& a, const exec::PipelineResult& b) {
+  if (a.timeline.size() != b.timeline.size()) return false;
+  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+    const auto& x = a.timeline[i];
+    const auto& y = b.timeline[i];
+    if (x.iteration != y.iteration || x.index != y.index ||
+        !same_bits(x.dispatch, y.dispatch) || !same_bits(x.issue, y.issue) ||
+        !same_bits(x.complete, y.complete) || !same_bits(x.retire, y.retire))
+      return false;
+  }
+  return same_bits(a.cycles_per_iteration, b.cycles_per_iteration) &&
+         a.total_cycles == b.total_cycles &&
+         a.measured_iterations == b.measured_iterations &&
+         same_bits(a.port_utilization, b.port_utilization) &&
+         a.backpressure_cycles == b.backpressure_cycles &&
+         same_bits(a.port_cycles, b.port_cycles) &&
+         same_bits(a.uops_per_iteration, b.uops_per_iteration) &&
+         a.dispatch_width == b.dispatch_width &&
+         a.eliminated_moves == b.eliminated_moves &&
+         a.eliminated_zero_idioms == b.eliminated_zero_idioms;
+}
+
+struct JumpTally {
+  int runs = 0;
+  int jumped = 0;
+  std::uint64_t stepped = 0;
+  std::uint64_t full = 0;
+};
+
+// Runs `prog` with and without the jump; returns whether the jump fired.
+bool check_jump(const asmir::Program& prog, const uarch::MachineModel& mm,
+                const PipelineConfig& cfg, const std::string& label,
+                JumpTally& tally) {
+  const auto full = exec::detail::simulate_loop(prog, mm, cfg, false);
+  const auto fast = exec::detail::simulate_loop(prog, mm, cfg, true);
+  EXPECT_TRUE(same_result(full, fast)) << label;
+  EXPECT_EQ(full.simulated_cycles,
+            full.total_cycles + (full.total_cycles < 30'000'000ULL ? 1 : 0))
+      << label;
+  EXPECT_LE(fast.simulated_cycles, full.simulated_cycles) << label;
+  ++tally.runs;
+  tally.stepped += fast.simulated_cycles;
+  tally.full += full.simulated_cycles;
+  const bool jumped = fast.simulated_cycles < full.simulated_cycles;
+  tally.jumped += jumped;
+  return jumped;
+}
+
+PipelineConfig mca_config(uarch::Micro micro) {
+  PipelineConfig cfg = mca::sched_model_config(micro);
+  cfg.iterations = 100;  // mca::simulate's default
+  return cfg;
+}
+
+}  // namespace
+
+TEST(Pipeline, JumpEqualsFullSimulation) {
+  // Corpus: every unique block under the testbed and the MCA configuration.
+  const driver::BlockSet set = driver::dedup_blocks(kernels::test_matrix());
+  JumpTally corpus;
+  for (const driver::Block& b : set.blocks) {
+    const asmir::Program& prog = b.gen.program;
+    const std::string label = b.mm->name() + " " + b.gen.assembly;
+    check_jump(prog, *b.mm, exec::testbed_config(b.mm->micro()), label, corpus);
+    check_jump(prog, *b.mm, mca_config(b.mm->micro()), label, corpus);
+  }
+  EXPECT_EQ(corpus.runs, 498);
+  // 434 of 498 at this writing.  The rest keep a front end that runs ahead
+  // of a scheduler window that is not full, so the youngest entries are
+  // examined as they arrive and neither the whole state nor the back end
+  // alone recurs (docs/methodology.md).
+  EXPECT_GE(corpus.jumped * 100, corpus.runs * 85);
+  std::printf("corpus: jump fired on %d of %d runs; %llu of %llu cycles stepped\n",
+              corpus.jumped, corpus.runs,
+              static_cast<unsigned long long>(corpus.stepped),
+              static_cast<unsigned long long>(corpus.full));
+
+  // Generated bodies: mixed strides, store forwarding, RMW and
+  // non-temporal stores on both x86 machines and configurations.
+  JumpTally random;
+  support::Rng rng(27);
+  for (int i = 0; i < 320; ++i) {
+    const auto micro = i % 2 ? Micro::GoldenCove : Micro::Zen4;
+    const auto& mm = uarch::machine(micro);
+    const std::string body = test::random_body(rng, false);
+    const auto prog = asmir::parse(body, mm.isa());
+    check_jump(prog, mm,
+               i % 4 < 2 ? exec::testbed_config(micro) : mca_config(micro),
+               body, random);
+  }
+  EXPECT_GT(random.jumped, 0);
+
+  // The instruction microbenchmark loops (measure_inverse_throughput and
+  // measure_latency), with the timeline recorded for the first iterations.
+  JumpTally bench;
+  const std::pair<Micro, const char*> templates[] = {
+      {Micro::NeoverseV2, "fadd v{d}.2d, v{s}.2d, v28.2d"},
+      {Micro::NeoverseV2, "fmla v{d}.2d, v{s}.2d, v28.2d"},
+      {Micro::NeoverseV2, "fdiv d{d}, d{s}, d28"},
+      {Micro::NeoverseV2, "ld1d {z{d}.d}, p0/z, [x1, z30.d, lsl #3]"},
+      {Micro::GoldenCove, "vaddpd %zmm28, %zmm{s}, %zmm{d}"},
+      {Micro::GoldenCove, "vdivpd %zmm28, %zmm{s}, %zmm{d}"},
+      {Micro::GoldenCove, "vfmadd231sd %xmm28, %xmm29, %xmm{d}"},
+      {Micro::Zen4, "vmulpd %ymm28, %ymm{s}, %ymm{d}"},
+      {Micro::Zen4, "vdivsd %xmm28, %xmm{s}, %xmm{d}"},
+      {Micro::Zen4, "vgatherdpd (%rax,%xmm30,8), %ymm{d}{%k1}"},
+  };
+  for (const auto& [micro, tmpl] : templates) {
+    const auto& mm = uarch::machine(micro);
+    const std::string close = mm.isa() == asmir::Isa::AArch64
+                                  ? "subs x9, x9, #1\nb.ne .Loop\n"
+                                  : "subq $1, %r9\njne .Loop\n";
+    std::string tput;
+    for (int i = 0; i < 24; ++i) tput += exec::instantiate_template(tmpl, i, i) + "\n";
+    std::string lat;
+    for (int i = 0; i < 8; ++i)
+      lat += exec::instantiate_template(tmpl, (i + 1) % 8, i) + "\n";
+    PipelineConfig cfg = exec::testbed_config(micro);
+    cfg.timeline_iterations = 3;
+    for (const std::string& body : {tput + close, lat + close})
+      check_jump(asmir::parse(body, mm.isa()), mm, cfg, body, bench);
+  }
+  EXPECT_GT(bench.jumped, 0);
+}
+
+TEST(Pipeline, JumpFallsBackWithoutARepeatCertificate) {
+  JumpTally tally;
+  const auto& mm = uarch::machine(Micro::GoldenCove);
+  // Front-end bound (taken-branch bubble): the state repeats every
+  // iteration.
+  const auto prog =
+      parse("vaddpd %zmm1, %zmm2, %zmm0\naddq $8, %rax\njne .L1\n", mm);
+  auto cfg = exec::testbed_config(Micro::GoldenCove);
+  ASSERT_TRUE(check_jump(prog, mm, cfg, "periodic", tally));
+  // A latency that is not a multiple of 2^-10: shifted times would round,
+  // so no state is certified and every cycle is stepped.
+  cfg.latency_overrides["vaddpd v512,v512,v512"] = 4.1;
+  EXPECT_FALSE(check_jump(prog, mm, cfg, "inexact latency", tally));
+  // Too short a run for a period to fit before the end comes into view.
+  cfg = exec::testbed_config(Micro::GoldenCove);
+  cfg.warmup_iterations = 0;
+  cfg.iterations = 2;
+  EXPECT_FALSE(check_jump(prog, mm, cfg, "two iterations", tally));
+  // The front end runs ahead of a throughput-bound back end and the ROB
+  // never fills within the run: no state recurs.
+  const auto ahead = parse("vaddpd %zmm1, %zmm2, %zmm0\naddq $8, %rax\n", mm);
+  EXPECT_FALSE(check_jump(ahead, mm, plain(), "front end ahead", tally));
 }

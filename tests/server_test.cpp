@@ -751,6 +751,51 @@ TEST(SweepGrammar, FrontEndFlagsRideAlong) {
             "unknown sweep flag '--nope'");
 }
 
+TEST(ServeGrammar, AcceptsAndRejectsWithExactMessages) {
+  // One grammar behind `incore-cli serve` and `incore-server`; both once
+  // read --workers (and the daemon --queue) with atoi, so "2x" ran as 2.
+  const struct {
+    std::vector<std::string> tokens;
+    std::string expected;  // error, or "workers/queue/memo socket"
+  } cases[] = {
+      {{"--socket", "/tmp/s"}, "2/256/65536 /tmp/s"},
+      {{"--workers", "4", "--queue", "8", "--memo", "0", "--socket", "s"},
+       "4/8/0 s"},
+      {{"--workers", "256"}, "256/256/65536 "},
+      {{"--workers", "2x"}, "serve: --workers expects a count in [1, 256], got '2x'"},
+      {{"--workers", "0"}, "serve: --workers expects a count in [1, 256], got '0'"},
+      {{"--workers", "257"},
+       "serve: --workers expects a count in [1, 256], got '257'"},
+      {{"--workers", ""}, "serve: --workers expects a count in [1, 256], got ''"},
+      {{"--queue", "3junk"}, "serve: --queue expects a positive capacity, got '3junk'"},
+      {{"--queue", "0"}, "serve: --queue expects a positive capacity, got '0'"},
+      {{"--memo", "-1"},
+       "serve: --memo expects a non-negative capacity (0 = unbounded), got '-1'"},
+      {{"--memo", "5k"},
+       "serve: --memo expects a non-negative capacity (0 = unbounded), got '5k'"},
+      {{"--bogus"}, "unknown serve flag '--bogus'"},
+      {{"--socket"}, "unknown serve flag '--socket'"},  // a missing value
+  };
+  for (const auto& c : cases) {
+    const server::ServeArgs a = server::parse_serve_args(c.tokens, "serve");
+    std::string joined;
+    for (const std::string& t : c.tokens) joined += t + " ";
+    const auto& svc = a.options.service;
+    const std::string got =
+        !a.error.empty()
+            ? a.error
+            : std::to_string(svc.evaluate_workers) + "/" +
+                  std::to_string(svc.queue_capacity) + "/" +
+                  std::to_string(svc.memo_capacity) + " " +
+                  a.options.socket_path;
+    EXPECT_EQ(got, c.expected) << joined;
+    EXPECT_EQ(a.unknown_flag, c.expected.starts_with("unknown serve flag"))
+        << joined;
+  }
+  EXPECT_EQ(server::parse_serve_args({"--workers", "2x"}, "incore-server").error,
+            "incore-server: --workers expects a count in [1, 256], got '2x'");
+}
+
 TEST(ServerContext, SweepRejectsBadCoreCountsLikeTheCli) {
   // The daemon once parsed --cores with atoi: "2x" ran as 2 and 1025 was
   // accepted.  It now shares the CLI's grammar and its diagnostic.

@@ -132,6 +132,8 @@ int usage() {
       "  serve --socket <path>            prediction service on a local\n"
       "                                   socket (see docs/server.md)\n"
       "       serve flags: --workers N (evaluate/finalize stage workers)\n"
+      "                    --queue N (per-stage queue capacity)\n"
+      "                    --memo N (prediction-memo capacity, 0 = unbounded)\n"
       "  client --socket <path> <request> one framed request to a server:\n"
       "       client ping | stats | shutdown\n"
       "       client analyze|audit|traffic|ecm <machine> [file.s]\n"
@@ -704,14 +706,10 @@ int cmd_ecm(int argc, char** argv) {
         std::fprintf(stderr, "--cores needs a value\n");
         return 2;
       }
-      for (std::string_view part : support::split(argv[++i], ',')) {
-        const std::string item(support::trim(part));
-        const int n = std::atoi(item.c_str());
-        if (n <= 0) {
-          std::fprintf(stderr, "--cores: unknown value '%s'\n", item.c_str());
-          return 2;
-        }
-        cores.push_back(n);
+      std::string error;
+      if (!server::parse_core_counts(argv[++i], cores, error, "ecm")) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
       }
     } else if (a.starts_with("--")) {
       std::fprintf(stderr, "unknown ecm flag '%s'\n", a.c_str());
@@ -1202,27 +1200,13 @@ int cmd_traffic(int argc, char** argv) {
 // ---------------------------------------------------------------- service
 
 int cmd_serve(int argc, char** argv) {
-  server::ServerOptions opt;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--socket" && i + 1 < argc) {
-      opt.socket_path = argv[++i];
-    } else if (a == "--workers" && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1 || n > 256) {
-        std::fprintf(stderr,
-                     "serve: --workers expects a count in [1, 256], got "
-                     "'%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      opt.service.evaluate_workers = n;
-      opt.service.finalize_workers = n;
-    } else {
-      std::fprintf(stderr, "unknown serve flag '%s'\n", a.c_str());
-      return usage();
-    }
+  server::ServeArgs args =
+      server::parse_serve_args({argv + 2, argv + argc}, "serve");
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "%s\n", args.error.c_str());
+    return args.unknown_flag ? usage() : 2;
   }
+  server::ServerOptions opt = std::move(args.options);
   if (opt.socket_path.empty()) {
     std::fprintf(stderr, "serve: --socket <path> is required\n");
     return 2;

@@ -1,6 +1,6 @@
 // incore-server — the prediction service as a standalone daemon.
 //
-//   incore-server --socket <path> [--workers N] [--queue N]
+//   incore-server --socket <path> [--workers N] [--queue N] [--memo N]
 //
 // Listens on a local (AF_UNIX) socket and answers framed requests
 // (analyze / audit / traffic / ecm / sweep / stats) through the staged
@@ -14,6 +14,7 @@
 #include <string>
 
 #include "server/server.hpp"
+#include "server/sweep_args.hpp"
 #include "support/error.hpp"
 
 using namespace incore;
@@ -34,49 +35,17 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  server::ServerOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--socket" && i + 1 < argc) {
-      opt.socket_path = argv[++i];
-    } else if (a == "--workers" && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1 || n > 256) {
-        std::fprintf(stderr,
-                     "incore-server: --workers expects a count in [1, 256], "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      opt.service.evaluate_workers = n;
-      opt.service.finalize_workers = n;
-    } else if (a == "--queue" && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr,
-                     "incore-server: --queue expects a positive capacity, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      opt.service.queue_capacity = static_cast<std::size_t>(n);
-    } else if (a == "--memo" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      char* end = nullptr;
-      const long n = std::strtol(v.c_str(), &end, 10);
-      if (v.empty() || *end != '\0' || n < 0) {
-        std::fprintf(stderr,
-                     "incore-server: --memo expects a non-negative capacity "
-                     "(0 = unbounded), got '%s'\n",
-                     v.c_str());
-        return 2;
-      }
-      opt.service.memo_capacity = static_cast<std::size_t>(n);
-    } else {
-      return usage();
-    }
+  server::ServeArgs args =
+      server::parse_serve_args({argv + 1, argv + argc}, "incore-server");
+  if (args.unknown_flag) return usage();
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "%s\n", args.error.c_str());
+    return args.options.socket_path.empty() && !args.error.starts_with(
+                                                   "incore-server: --")
+               ? usage()
+               : 2;
   }
-  if (opt.socket_path.empty()) return usage();
+  server::ServerOptions opt = std::move(args.options);
   const std::string path = opt.socket_path;
   try {
     server::Server srv(std::move(opt));
