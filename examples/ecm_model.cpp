@@ -15,15 +15,31 @@
 
 using namespace incore;
 
-int main(int argc, char** argv) {
-  kernels::Kernel kernel = kernels::Kernel::StreamTriad;
-  if (argc > 1) {
-    for (kernels::Kernel k : kernels::all_kernels()) {
-      if (std::string(argv[1]) == kernels::to_string(k)) kernel = k;
+namespace {
+
+int usage() {
+  std::fprintf(stderr, "usage: ecm_model [kernel] [gcs|spr|genoa]\n");
+  return 2;
+}
+
+bool kernel_from_name(const std::string& name, kernels::Kernel& out) {
+  for (kernels::Kernel k : kernels::all_kernels()) {
+    if (name == kernels::to_string(k)) {
+      out = k;
+      return true;
     }
   }
+  return false;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  kernels::Kernel kernel = kernels::Kernel::StreamTriad;
+  if (argc > 1 && !kernel_from_name(argv[1], kernel)) return usage();
   uarch::Micro micro = uarch::Micro::GoldenCove;
-  if (argc > 2) (void)uarch::micro_from_name(argv[2], micro);
+  if (argc > 2 && !uarch::micro_from_name(argv[2], micro)) return usage();
+  if (argc > 3) return usage();
 
   kernels::Variant v{kernel, kernels::compilers_for(micro).front(),
                      kernels::OptLevel::O3, micro};

@@ -4,19 +4,34 @@
 //   ./frequency_explorer [gcs|spr|genoa] [cores]
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "power/power.hpp"
+#include "support/strings.hpp"
 #include "uarch/model.hpp"
 
 using namespace incore;
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: frequency_explorer [gcs|spr|genoa] [cores]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   uarch::Micro micro = uarch::Micro::GoldenCove;
-  if (argc > 1) (void)uarch::micro_from_name(argv[1], micro);
+  if (argc > 1 && !uarch::micro_from_name(argv[1], micro)) return usage();
   const auto& chip = power::chip(micro);
-  int cores = argc > 2 ? std::atoi(argv[2]) : chip.cores;
+  long long parsed = chip.cores;
+  if (argc > 2 && (!support::parse_int(argv[2], parsed) || parsed < 1 ||
+                   parsed > chip.cores)) {
+    return usage();
+  }
+  if (argc > 3) return usage();
+  const int cores = static_cast<int>(parsed);
 
   std::printf("%s: TDP %.0f W, %d cores, turbo %.1f GHz\n\n", chip.name,
               chip.tdp_w, chip.cores, chip.turbo_ghz);

@@ -32,11 +32,17 @@ std::string default_kernel(uarch::Micro micro) {
   return kernels::generate(v).assembly;
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: quickstart [spr|gcs|genoa] [file.s]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   uarch::Micro micro = uarch::Micro::GoldenCove;
-  if (argc > 1) (void)uarch::micro_from_name(argv[1], micro);
+  if (argc > 1 && !uarch::micro_from_name(argv[1], micro)) return usage();
+  if (argc > 3) return usage();
   std::string text = default_kernel(micro);
   if (argc > 2) {
     std::ifstream in(argv[2]);

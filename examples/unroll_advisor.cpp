@@ -67,12 +67,20 @@ std::string triad_body(uarch::Micro m, int u) {
   return b;
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: unroll_advisor [sum|triad] [gcs|spr|genoa]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool triad = argc > 1 && std::string(argv[1]) == "triad";
+  const std::string kernel = argc > 1 ? argv[1] : "sum";
+  if (kernel != "sum" && kernel != "triad") return usage();
+  const bool triad = kernel == "triad";
   uarch::Micro micro = uarch::Micro::GoldenCove;
-  if (argc > 2) (void)uarch::micro_from_name(argv[2], micro);
+  if (argc > 2 && !uarch::micro_from_name(argv[2], micro)) return usage();
+  if (argc > 3) return usage();
   const auto& mm = uarch::machine(micro);
   std::printf("%s on %s: cycles per element vs. unroll factor\n\n",
               triad ? "stream triad" : "sum reduction",

@@ -6,26 +6,45 @@
 // domain utilization, SpecI2M conversion / claim rate / NT partial fills,
 // and the resulting traffic breakdown.
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "memsim/memsim.hpp"
+#include "support/strings.hpp"
 #include "uarch/model.hpp"
 
 using namespace incore;
 using memsim::StoreKind;
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: wa_evasion_explorer [gcs|spr|genoa] [cores] "
+               "[standard|nt]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   uarch::Micro micro = uarch::Micro::GoldenCove;
-  if (argc > 1) (void)uarch::micro_from_name(argv[1], micro);
+  if (argc > 1 && !uarch::micro_from_name(argv[1], micro)) return usage();
   memsim::System sys(memsim::preset(micro));
-  int cores = argc > 2 ? std::atoi(argv[2]) : sys.config().cores;
-  StoreKind kind = (argc > 3 && std::string(argv[3]) == "nt")
-                       ? StoreKind::NonTemporal
-                       : StoreKind::Standard;
-
   const auto& cfg = sys.config();
+  long long parsed = cfg.cores;
+  if (argc > 2 && (!support::parse_int(argv[2], parsed) || parsed < 1 ||
+                   parsed > cfg.cores)) {
+    return usage();
+  }
+  const int cores = static_cast<int>(parsed);
+  const std::string kind_name = argc > 3 ? argv[3] : "standard";
+  if (kind_name != "standard" && kind_name != "nt") return usage();
+  if (argc > 4) return usage();
+  const StoreKind kind =
+      kind_name == "nt" ? StoreKind::NonTemporal : StoreKind::Standard;
+
   std::printf("%s: %d cores (%d per ccNUMA domain), %.0f GB/s theoretical\n",
               cfg.name, cfg.cores, cfg.cores_per_domain,
               cfg.theoretical_bw_gbs);

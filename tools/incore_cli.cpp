@@ -16,6 +16,8 @@
 //       Instruction microbenchmarks ({d}/{s} register placeholders).
 //   incore-cli ecm <machine> <kernel>
 //       ECM decomposition for a kernel at -O3.
+//   incore-cli reproduce [artifact...]
+//       The paper's tables and figures, ablations and extension studies.
 
 #include <cstdio>
 #include <algorithm>
@@ -61,6 +63,8 @@
 #include "verify/kernel_lints.hpp"
 #include "verify/model_lints.hpp"
 
+#include "reproduce.hpp"
+
 using namespace incore;
 
 namespace {
@@ -98,6 +102,10 @@ int usage() {
       "            --ecm adds the VP012-VP014 ECM/memory-side checks\n"
       "  export-model <machine> [-o file] write a model as a .mdf machine-\n"
       "                                   description file (stdout default)\n"
+      "  reproduce [artifact..]           print the paper's tables, figures,\n"
+      "                                   ablations and extension studies\n"
+      "                                   (all, in paper order, by default;\n"
+      "                                   an unknown name lists the valid ones)\n"
       "  kernels                          list validation kernels\n"
       "  emit <machine> <kernel> <cc> <O> render a compiler personality\n"
       "  tput <machine> <template>        instruction throughput microbench\n"
@@ -1286,6 +1294,7 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "machines") return cmd_machines();
     if (cmd == "kernels") return cmd_kernels();
+    if (cmd == "reproduce") return reproduce::run({argv + 2, argv + argc});
     if (cmd == "serve") return cmd_serve(argc, argv);
     if (cmd == "client") return cmd_client(argc, argv);
     if (cmd == "analyze" && argc >= 3) return cmd_analyze(argc, argv);
