@@ -29,6 +29,7 @@
 
 #include "asmir/ir.hpp"
 #include "ecm/ecm.hpp"
+#include "traffic/layout.hpp"
 #include "uarch/model.hpp"
 #include "verify/diagnostics.hpp"
 
@@ -66,10 +67,11 @@ struct ScalingOptions {
   /// slack_fraction * n_bw) counts as agreement.
   int slack_cores = 2;
   double slack_fraction = 0.5;
-  /// Replay window (smaller than the VP011 defaults: the ECM check meters
-  /// one boundary, not eight).
+  /// Replay window (smaller than VP011's: the ECM check meters one
+  /// boundary, not eight).  With VP011's cap the layout and warmup are
+  /// VP011's, and the replay serves this window from VP011's run.
   long long measure_iterations = 2048;
-  long long max_total_iterations = 1ll << 21;
+  long long max_total_iterations = traffic::kMaxReplayIterations;
   /// Store-benchmark depth per core for the protocol trace.
   int store_lines_per_core = 4096;
 };

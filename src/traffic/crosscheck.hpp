@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "traffic/layout.hpp"
 #include "traffic/traffic.hpp"
 #include "verify/diagnostics.hpp"
 
@@ -37,7 +38,7 @@ struct CrosscheckOptions {
   long long measure_iterations = 32768;
   /// Hard cap on warmup + measure (keeps huge-L3 machines bounded); when
   /// the cap truncates warmup the comparison is attributed, not failed.
-  long long max_total_iterations = 1ll << 23;
+  long long max_total_iterations = kMaxReplayIterations;
 };
 
 /// One compared quantity (lines/iteration).

@@ -1,8 +1,10 @@
 #include "traffic/layout.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "memsim/cachesim.hpp"
 
@@ -53,7 +55,8 @@ SyntheticLayout synthesize_layout(const Result& r,
     out.capped = true;
   }
   out.warmup_iterations = warmup;
-  const long long total = warmup + measure_iterations;
+  const long long total =
+      std::max(warmup + measure_iterations, max_total_iterations);
 
   // Disjoint regions, staggered by 68 lines to decorrelate cache sets.
   std::vector<long long> base(r.streams.size(), 0);
@@ -153,17 +156,78 @@ namespace {
           h.memory().lines_written,  h.claimed_lines()};
 }
 
+[[nodiscard]] ReplayCounters minus(const ReplayCounters& end,
+                                   const ReplayCounters& begin) {
+  return {end.l1_miss - begin.l1_miss,     end.l1_evict - begin.l1_evict,
+          end.l2_hit - begin.l2_hit,       end.l2_evict - begin.l2_evict,
+          end.l3_hit - begin.l3_hit,       end.mem_read - begin.mem_read,
+          end.mem_write - begin.mem_write, end.claimed - begin.claimed};
+}
+
+/// The calling thread's last replay.  The key is everything the
+/// simulated run depends on: the ops, the warmup, and the hierarchy
+/// CacheHierarchy::for_model builds (cache geometry; the machine fixes
+/// the write-allocate mechanism and the claim warmup).
+struct KeptReplay {
+  bool valid = false;
+  std::vector<LayoutOp> ops;
+  long long warmup = 0;
+  uarch::CacheParams cache;
+  uarch::Micro micro{};
+  /// (window, counters over it): the powers of two below the measured
+  /// window, then the measured window itself.
+  std::array<std::pair<long long, ReplayCounters>, 64> windows;
+  std::size_t n_windows = 0;
+
+  [[nodiscard]] bool same_run(const SyntheticLayout& layout,
+                              const uarch::MachineModel& mm) const {
+    return valid && warmup == layout.warmup_iterations &&
+           micro == mm.micro() && cache == mm.cache && ops == layout.ops;
+  }
+};
+
+thread_local KeptReplay t_kept;
+thread_local std::uint64_t t_simulated = 0;
+
 }  // namespace
 
 ReplayCounters replay(const SyntheticLayout& layout,
                       const uarch::MachineModel& mm) {
+  KeptReplay& kept = t_kept;
+  if (kept.same_run(layout, mm)) {
+    for (std::size_t k = 0; k < kept.n_windows; ++k) {
+      if (kept.windows[k].first == layout.measure_iterations) {
+        return kept.windows[k].second;
+      }
+    }
+  }
+  // Fill the key before the hierarchy's arrays are allocated: a small
+  // allocation made after them would sit above them on the heap and keep
+  // the freed arrays from being returned to the system.
+  kept.valid = false;
+  kept.ops = layout.ops;
+  kept.warmup = layout.warmup_iterations;
+  kept.cache = mm.cache;
+  kept.micro = mm.micro();
+  kept.n_windows = 0;
+
   memsim::CacheHierarchy hier = memsim::CacheHierarchy::for_model(mm);
   const int line = mm.cache.line_bytes;
   const long long warmup = layout.warmup_iterations;
   const long long total = warmup + layout.measure_iterations;
   ReplayCounters begin;
+  long long window = 0;      // window recorded at the next mark
+  long long mark = warmup;   // iteration before which counters are read
   for (long long i = 0; i < total; ++i) {
-    if (i == warmup) begin = counters(hier);
+    if (i == mark) {
+      if (window == 0) {
+        begin = counters(hier);
+      } else {
+        kept.windows[kept.n_windows++] = {window, minus(counters(hier), begin)};
+      }
+      window = window == 0 ? 1 : 2 * window;
+      mark = warmup + window;
+    }
     for (const LayoutOp& op : layout.ops) {
       const long long lo = op.lo + i * op.stride;
       const long long l0 = floor_div(lo, line);
@@ -179,11 +243,13 @@ ReplayCounters replay(const SyntheticLayout& layout,
       }
     }
   }
-  const ReplayCounters end = counters(hier);
-  return {end.l1_miss - begin.l1_miss,     end.l1_evict - begin.l1_evict,
-          end.l2_hit - begin.l2_hit,       end.l2_evict - begin.l2_evict,
-          end.l3_hit - begin.l3_hit,       end.mem_read - begin.mem_read,
-          end.mem_write - begin.mem_write, end.claimed - begin.claimed};
+  t_simulated += static_cast<std::uint64_t>(total);
+  const ReplayCounters d = minus(counters(hier), begin);
+  kept.windows[kept.n_windows++] = {layout.measure_iterations, d};
+  kept.valid = true;
+  return d;
 }
+
+std::uint64_t simulated_replay_iterations() { return t_simulated; }
 
 }  // namespace incore::traffic

@@ -10,7 +10,9 @@
 // warmup sizing (enough iterations to fill 1.5x the combined cache
 // capacity, bounded by a hard cap so huge-L3 machines stay tractable; see
 // docs/traffic.md for why residency, not stream span, bounds it) and the
-// one replay loop both engines meter.
+// one replay loop both engines meter.  A block gets one layout and one
+// warmup whatever window is measured, so the shorter VP014 window is a
+// prefix of VP011's and the replay serves it from VP011's run.
 
 #include <cstdint>
 #include <vector>
@@ -22,6 +24,11 @@
 
 namespace incore::traffic {
 
+/// Hard cap on warmup + measured iterations of a replay, shared by VP011
+/// and VP014 (keeps huge-L3 machines bounded).  Regions are sized for
+/// this many iterations, so a layout does not depend on its window.
+inline constexpr long long kMaxReplayIterations = 1ll << 23;
+
 /// One per-iteration memory operation, pre-resolved for a replay loop:
 /// at iteration i it touches bytes [lo + i*stride, lo + i*stride + width).
 struct LayoutOp {
@@ -31,6 +38,8 @@ struct LayoutOp {
   bool is_load = false;
   bool is_store = false;
   bool nontemporal = false;
+
+  bool operator==(const LayoutOp&) const = default;
 };
 
 struct SyntheticLayout {
@@ -48,7 +57,10 @@ struct SyntheticLayout {
 };
 
 /// Synthesizes a concrete layout for the streams of `r` (which must come
-/// from analyze(prog, mm) with `df` = dataflow::analyze(prog)).
+/// from analyze(prog, mm) with `df` = dataflow::analyze(prog)).  Each
+/// stream's region holds max(warmup + measure, max_total_iterations)
+/// iterations, so only `measure_iterations` and, when the cap truncates
+/// it, the warmup depend on the window.
 [[nodiscard]] SyntheticLayout synthesize_layout(
     const Result& r, const dataflow::Analysis& df, const asmir::Program& prog,
     const uarch::MachineModel& mm, long long measure_iterations,
@@ -88,7 +100,18 @@ struct ReplayCounters {
 /// end of the measured window minus those at its start.  Each access
 /// expands to one simulator call per touched line.  There is no drain:
 /// the window's counts are the steady-state rates.  `layout` must be ok.
+///
+/// The calling thread keeps its last replay: the key (ops, warmup, cache
+/// geometry, machine) and the window's counters at every power-of-two
+/// point of the measured window and at its end.  A call with an equal key
+/// whose window is one of those points returns the recorded counters
+/// without simulating -- the same numbers, since the window is a prefix
+/// of the recorded run.  One entry per thread: it never grows.
 [[nodiscard]] ReplayCounters replay(const SyntheticLayout& layout,
                                     const uarch::MachineModel& mm);
+
+/// Iterations the calling thread's replays have simulated so far; a
+/// window served from the kept replay adds none.
+[[nodiscard]] std::uint64_t simulated_replay_iterations();
 
 }  // namespace incore::traffic

@@ -113,6 +113,8 @@ struct CacheParams {
   /// Distinct access streams the hardware prefetchers can track
   /// concurrently (drives the VT007 traffic lint).
   int prefetch_streams = 16;
+
+  bool operator==(const CacheParams&) const = default;
 };
 
 /// Memory-hierarchy transfer parameters for the ECM composition (the MDF

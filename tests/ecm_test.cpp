@@ -247,9 +247,9 @@ TEST(EcmCrosscheck, StreamTriadReplayMatchesStaticVolume) {
   }
 }
 
-// VP011 and VP014 size their warmup with the same rule; they differ only
-// in the measured window and the cap, so an uncapped block warms up for
-// the same number of iterations in both.
+// VP011 and VP014 size their warmup with the same rule and the same cap;
+// they differ only in the measured window, so an uncapped block warms up
+// for the same number of iterations in both.
 TEST(EcmCrosscheck, UncappedWarmupMatchesTrafficCrosscheck) {
   const kernels::GeneratedKernel g = kernels::generate(triad(Micro::Zen4));
   const uarch::MachineModel& mm = uarch::machine(Micro::Zen4);
@@ -263,18 +263,45 @@ TEST(EcmCrosscheck, UncappedWarmupMatchesTrafficCrosscheck) {
   EXPECT_EQ(e.warmup_iterations, t.warmup_iterations);
 }
 
-// VP014's cap: the Genoa sum reduction reads one 8-byte stream, so the
-// 1.5 x 13 MiB fill needs more than 1 << 21 iterations.  The truncated
-// warmup still reaches the streaming steady state: the replayed volume
-// agrees and no memory-boundary cause is raised.
-TEST(EcmCrosscheck, GenoaSumO1CapsWarmupAndAgrees) {
+// The Genoa sum reduction reads one 8-byte stream, so the 1.5 x 13 MiB
+// fill needs 2,563,072 warmup iterations, under the cap VP014 shares with
+// VP011: it warms up exactly as long as VP011, and the replayed volume
+// agrees.
+TEST(EcmCrosscheck, GenoaSumO1WarmupMatchesTrafficAndAgrees) {
   const kernels::GeneratedKernel g = kernels::generate(
       {Kernel::SumReduction, Compiler::Gcc, OptLevel::O1, Micro::Zen4});
+  const uarch::MachineModel& mm = uarch::machine(Micro::Zen4);
+  const ecm::ScalingCheck c = ecm::crosscheck_scaling(g.program, mm);
+  const traffic::Crosscheck t = traffic::crosscheck(g.program, mm);
+  EXPECT_TRUE(c.replay_ran);
+  EXPECT_FALSE(c.capped);
+  EXPECT_EQ(c.warmup_iterations, 2563072);
+  EXPECT_EQ(c.warmup_iterations, t.warmup_iterations);
+  EXPECT_DOUBLE_EQ(c.trace_mem_lines, c.static_mem_lines);
+  EXPECT_TRUE(c.ok);
+  for (ecm::ScalingCause cause : c.causes) {
+    EXPECT_NE(cause, ecm::ScalingCause::TransferOverlapMismatch);
+  }
+}
+
+// VP014's cap, as VP011's (TrafficCrosscheck.ByteStrideOnGenoaCapsWarmup):
+// a 1-byte-stride stream on Genoa needs 1.5 x 13 MiB of warmup
+// iterations, past 1 << 23 in total.  The pure stream still agrees.
+TEST(EcmCrosscheck, ByteStrideOnGenoaCapsWarmup) {
+  const asmir::Program prog = asmir::parse(R"(
+.L3:
+  movzbl (%rax), %ecx
+  addq $1, %rax
+  cmpq %rdx, %rax
+  jne .L3
+)",
+                                           asmir::Isa::X86_64);
   const ecm::ScalingOptions opt;
   const ecm::ScalingCheck c =
-      ecm::crosscheck_scaling(g.program, uarch::machine(Micro::Zen4), opt);
+      ecm::crosscheck_scaling(prog, uarch::machine(Micro::Zen4), opt);
   EXPECT_TRUE(c.replay_ran);
   EXPECT_TRUE(c.capped);
+  EXPECT_EQ(opt.max_total_iterations, 1ll << 23);
   EXPECT_EQ(c.warmup_iterations,
             opt.max_total_iterations - opt.measure_iterations);
   EXPECT_DOUBLE_EQ(c.trace_mem_lines, c.static_mem_lines);

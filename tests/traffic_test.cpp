@@ -6,17 +6,21 @@
 // cross-validation -- including the explicitly attributed corpus
 // exceptions (the SPR jacobi-3d layer-condition boundary, the Genoa
 // jacobi-3d-27pt associativity conflict), the symbolic-stride skip path
-// and the warmup cap -- and a differential test of the replay warmup
-// sizing on generated loop bodies.
+// and the warmup cap -- a differential test of the replay warmup sizing
+// on generated loop bodies, and the exactness of VP014 reading its window
+// from VP011's replay.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "dataflow/dataflow.hpp"
 #include "driver/predictor.hpp"
 #include "driver/sweep.hpp"
+#include "ecm/crosscheck.hpp"
 #include "kernels/kernels.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -694,6 +699,210 @@ TEST(TrafficCrosscheck, TruncatedWarmupDivergenceAttributedToCap) {
   EXPECT_GT(c.max_rel_error, opt.tolerance);
   ASSERT_FALSE(c.attributions.empty());
   EXPECT_EQ(c.attributions.front(), traffic::Attribution::WindowCapped);
+}
+
+// ------------------------------------------------- one replay per block
+// VP014 measures a 2,048-iteration window after the same layout and
+// warmup as VP011's 32,768-iteration replay, and the replay serves it from
+// the run it keeps per thread.  Sharing must be exact: every field of both
+// results equals the one computed cold, doubles bit for bit.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same(const traffic::Crosscheck& a, const traffic::Crosscheck& b) {
+  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.capped, b.capped);
+  EXPECT_EQ(a.warmup_iterations, b.warmup_iterations);
+  EXPECT_EQ(a.measured_iterations, b.measured_iterations);
+  EXPECT_EQ(bits(a.max_rel_error), bits(b.max_rel_error));
+  EXPECT_EQ(a.attributions, b.attributions);
+  ASSERT_EQ(a.quantities.size(), b.quantities.size());
+  for (std::size_t i = 0; i < a.quantities.size(); ++i) {
+    const traffic::Quantity& x = a.quantities[i];
+    const traffic::Quantity& y = b.quantities[i];
+    EXPECT_STREQ(x.name, y.name);
+    EXPECT_EQ(bits(x.statik), bits(y.statik)) << x.name;
+    EXPECT_EQ(bits(x.simulated), bits(y.simulated)) << x.name;
+    EXPECT_EQ(x.within, y.within) << x.name;
+  }
+}
+
+void expect_same(const ecm::ScalingCheck& a, const ecm::ScalingCheck& b) {
+  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.replay_ran, b.replay_ran);
+  EXPECT_EQ(a.capped, b.capped);
+  EXPECT_EQ(a.warmup_iterations, b.warmup_iterations);
+  EXPECT_EQ(bits(a.static_mem_lines), bits(b.static_mem_lines));
+  EXPECT_EQ(bits(a.trace_mem_lines), bits(b.trace_mem_lines));
+  EXPECT_EQ(a.analytic_saturation, b.analytic_saturation);
+  EXPECT_EQ(a.bandwidth_saturation, b.bandwidth_saturation);
+  EXPECT_EQ(a.causes, b.causes);
+  EXPECT_EQ(a.details, b.details);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    const ecm::CorePoint& x = a.points[i];
+    const ecm::CorePoint& y = b.points[i];
+    EXPECT_EQ(x.cores, y.cores);
+    EXPECT_EQ(bits(x.analytic_cycles), bits(y.analytic_cycles));
+    EXPECT_EQ(bits(x.analytic_cl_per_cy), bits(y.analytic_cl_per_cy));
+    EXPECT_EQ(bits(x.trace_store_ratio), bits(y.trace_store_ratio));
+    EXPECT_EQ(bits(x.model_store_ratio), bits(y.model_store_ratio));
+  }
+}
+
+/// Both checks on one block, in the given order, with the replay
+/// iterations the calling thread simulated for each.
+struct GatePair {
+  traffic::Crosscheck vp011;
+  ecm::ScalingCheck vp014;
+  std::uint64_t vp011_iterations = 0;
+  std::uint64_t vp014_iterations = 0;
+};
+
+GatePair run_gates(const asmir::Program& prog, const uarch::MachineModel& mm,
+                   bool vp011_first) {
+  GatePair out;
+  auto vp011 = [&] {
+    const std::uint64_t before = traffic::simulated_replay_iterations();
+    out.vp011 = traffic::crosscheck(prog, mm);
+    out.vp011_iterations = traffic::simulated_replay_iterations() - before;
+  };
+  auto vp014 = [&] {
+    const std::uint64_t before = traffic::simulated_replay_iterations();
+    out.vp014 = ecm::crosscheck_scaling(prog, mm);
+    out.vp014_iterations = traffic::simulated_replay_iterations() - before;
+  };
+  if (vp011_first) {
+    vp011();
+    vp014();
+  } else {
+    vp014();
+    vp011();
+  }
+  return out;
+}
+
+/// A store stream that writes each 64-byte line once, in order: Grace's
+/// claim detector claims its lines after the warmup.
+constexpr const char* kClaimingStoreA64 = R"(
+  str q0, [x0]
+  add x0, x0, #64
+)";
+
+TEST(TrafficReplay, MemoizedWindowEqualsColdReplay) {
+  struct Case {
+    std::string label;
+    const asmir::Program* prog;
+    const uarch::MachineModel* mm;
+  };
+  std::vector<Case> cases;
+  std::deque<kernels::GeneratedKernel> generated;
+  for (kernels::Kernel k : kernels::all_kernels()) {
+    for (uarch::Micro m : uarch::all_micros()) {
+      const kernels::Variant v{k, kernels::compilers_for(m).front(),
+                               kernels::OptLevel::O3, m};
+      generated.push_back(kernels::generate(v));
+      cases.push_back({v.label(), &generated.back().program, &uarch::machine(m)});
+    }
+  }
+  const std::size_t claiming = cases.size();
+  cases.push_back({"claiming-store-GCS",
+                   &keep(asmir::parse(kClaimingStoreA64, Isa::AArch64)),
+                   &uarch::machine(uarch::Micro::NeoverseV2)});
+  const std::size_t byte_stride = cases.size();
+  cases.push_back({"byte-stride-Genoa",
+                   &keep(asmir::parse(kByteStreamAtt, Isa::X86_64)),
+                   &uarch::machine(uarch::Micro::Zen4)});
+
+  int served = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(c.label);
+    // Each order on a thread of its own, so each starts with no kept
+    // replay: VP014 after VP011 on one, VP014 cold then VP011 on the other.
+    GatePair shared;
+    GatePair cold;
+    std::thread a([&] { shared = run_gates(*c.prog, *c.mm, true); });
+    std::thread b([&] { cold = run_gates(*c.prog, *c.mm, false); });
+    a.join();
+    b.join();
+    expect_same(shared.vp014, cold.vp014);
+    expect_same(shared.vp011, cold.vp011);
+    if (shared.vp011.skipped || !shared.vp014.replay_ran) continue;
+    const long long vp011_total = shared.vp011.warmup_iterations +
+                                  shared.vp011.measured_iterations;
+    const long long vp014_total = shared.vp014.warmup_iterations + 2048;
+    EXPECT_EQ(shared.vp011_iterations, vp011_total);
+    EXPECT_EQ(cold.vp014_iterations, vp014_total);
+    EXPECT_EQ(cold.vp011_iterations, vp011_total);
+    if (shared.vp014.warmup_iterations == shared.vp011.warmup_iterations) {
+      EXPECT_EQ(shared.vp014_iterations, 0u);  // served, not simulated
+      ++served;
+    } else {
+      EXPECT_EQ(shared.vp014_iterations, vp014_total);
+    }
+    if (i == claiming) {
+      const traffic::Quantity& claimed = shared.vp011.quantities.back();
+      ASSERT_STREQ(claimed.name, "claimed");
+      EXPECT_GT(claimed.simulated, 0);
+      EXPECT_EQ(shared.vp014_iterations, 0u);
+    }
+    if (i == byte_stride) {
+      // The capped warmup leaves room for the window, so the two checks
+      // warm up differently and VP014 simulates its own run.
+      EXPECT_TRUE(shared.vp011.capped);
+      EXPECT_TRUE(shared.vp014.capped);
+    }
+  }
+  EXPECT_GE(served, 30);
+}
+
+// The kept replay is per thread: four threads running both checks on
+// different blocks at once get the serial results.  Cheap on purpose (the
+// shrunk caches keep each replay short) so it also runs under TSan.
+TEST(TrafficReplay, MemoKeptPerThreadUnderConcurrency) {
+  const uarch::MachineModel models[] = {shrunk(uarch::Micro::NeoverseV2),
+                                        shrunk(uarch::Micro::GoldenCove),
+                                        shrunk(uarch::Micro::Zen4)};
+  const kernels::Kernel kinds[] = {
+      kernels::Kernel::StreamTriad, kernels::Kernel::Copy,
+      kernels::Kernel::Jacobi2D5pt, kernels::Kernel::Update,
+      kernels::Kernel::SchoenauerTriad, kernels::Kernel::Init,
+      kernels::Kernel::Jacobi3D7pt, kernels::Kernel::SumReduction};
+  std::vector<kernels::GeneratedKernel> blocks;
+  std::vector<const uarch::MachineModel*> block_models;
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    const uarch::MachineModel& mm = models[i % 3];
+    blocks.push_back(kernels::generate(
+        {kinds[i], kernels::compilers_for(mm.micro()).front(),
+         kernels::OptLevel::O3, mm.micro()}));
+    block_models.push_back(&mm);
+  }
+  std::vector<GatePair> serial;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    serial.push_back(run_gates(blocks[i].program, *block_models[i], true));
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<GatePair> parallel(blocks.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < blocks.size(); i += kThreads) {
+        parallel[i] = run_gates(blocks[i].program, *block_models[i], true);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  int served = 0;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    SCOPED_TRACE(std::string(kernels::to_string(kinds[i])));
+    expect_same(serial[i].vp011, parallel[i].vp011);
+    expect_same(serial[i].vp014, parallel[i].vp014);
+    served += parallel[i].vp014.replay_ran && parallel[i].vp014_iterations == 0;
+  }
+  EXPECT_GE(served, 4);
 }
 
 TEST(TrafficCodes, VtFamilyRegistered) {
