@@ -6,8 +6,13 @@
 
 namespace incore::analysis {
 
+static thread_local std::uint64_t t_analyses = 0;
+
+std::uint64_t analyses_run() { return t_analyses; }
+
 Report analyze(const asmir::Program& prog, const uarch::MachineModel& mm,
                const DepOptions& opt) {
+  ++t_analyses;
   Report rep;
   rep.mm_ = &mm;
   const int ports = static_cast<int>(mm.port_count());

@@ -9,6 +9,7 @@
 // This is a *lower* bound by construction: it assumes perfect scheduling,
 // infinite OoO resources and all data in L1.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -70,5 +71,8 @@ class Report {
 [[nodiscard]] Report analyze(const asmir::Program& prog,
                              const uarch::MachineModel& mm,
                              const DepOptions& opt = {});
+
+/// Reports analyze() has built on the calling thread so far.
+[[nodiscard]] std::uint64_t analyses_run();
 
 }  // namespace incore::analysis

@@ -66,6 +66,8 @@ struct DepOptions {
   /// store and the load no longer hide the dependency, and loop-carried
   /// memory recurrences are proven via per-iteration stride.
   bool alias_precise_stores = false;
+
+  bool operator==(const DepOptions&) const = default;
 };
 
 [[nodiscard]] DepResult analyze_dependencies(const asmir::Program& prog,

@@ -128,6 +128,7 @@ BlockAudit audit_program(const asmir::Program& prog,
   std::vector<OccupancyGroup> groups;
   analysis::PortPressureResult pp;
   analysis::DepResult dep;
+  analysis::Report rep;
   exec::Measurement tb;
   mca::Result mc;
   try {
@@ -144,7 +145,7 @@ BlockAudit audit_program(const asmir::Program& prog,
     dep = analysis::analyze_dependencies(prog, mm);
 
     // ---- The three models of Fig. 3 ------------------------------------
-    const analysis::Report rep = analysis::analyze(prog, mm);
+    rep = analysis::analyze(prog, mm);
     a.incore_cycles = rep.predicted_cycles();
     a.incore_tp = rep.throughput_cycles();
     a.incore_lcd = rep.loop_carried_cycles();
@@ -515,7 +516,6 @@ BlockAudit audit_program(const asmir::Program& prog,
 
   // ---- VP012–VP014: the full-kernel ECM composition --------------------
   if (opt.check_ecm) {
-    const analysis::Report rep = analysis::analyze(prog, mm);
     const ecm::HierarchyParams h = ecm::hierarchy_for(mm);
     const ecm::Prediction ep = ecm::predict_block(rep, prog, mm);
 

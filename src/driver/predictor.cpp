@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <map>
 #include <utility>
 
 #include "analysis/analyze.hpp"
 #include "asmir/parser.hpp"
 #include "exec/exec.hpp"
 #include "mca/mca.hpp"
-#include "support/annotations.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
 
@@ -75,6 +73,23 @@ Block make_block(std::string assembly_text, const uarch::MachineModel& mm) {
   return b;
 }
 
+// -------------------------------------------------------------- BlockScope
+
+const analysis::Report& BlockScope::report() const {
+  if (!report_) {
+    report_.emplace(analysis::analyze(block_.gen.program, *block_.mm));
+  }
+  return *report_;
+}
+
+const ecm::Prediction& BlockScope::composition() const {
+  if (!composition_) {
+    composition_.emplace(
+        ecm::predict_block(report(), block_.gen.program, *block_.mm));
+  }
+  return *composition_;
+}
+
 // ------------------------------------------------------------------ in-core
 
 InCorePredictor::InCorePredictor(std::string id,
@@ -83,7 +98,13 @@ InCorePredictor::InCorePredictor(std::string id,
 
 Prediction InCorePredictor::predict(const Block& b) const {
   return timed_predict(id_, [&](Prediction& p) {
-    const analysis::Report rep = analysis::analyze(b.gen.program, *b.mm, dep_);
+    const BlockScope* scope =
+        dep_ == analysis::DepOptions{} ? BlockScope::find(b) : nullptr;
+    std::optional<analysis::Report> own;
+    const analysis::Report& rep =
+        scope != nullptr
+            ? scope->report()
+            : own.emplace(analysis::analyze(b.gen.program, *b.mm, dep_));
     p.cycles_per_iteration = rep.predicted_cycles();
     p.throughput_cycles = rep.throughput_cycles();
     p.loop_carried_cycles = rep.loop_carried_cycles();
@@ -136,62 +157,12 @@ EcmPredictor EcmPredictor::multicore(int cores, std::string id) {
                                  : std::move(id));
 }
 
-namespace {
-
-/// Memoizes the ECM composition per block.  A cores-axis sweep
-/// instantiates one EcmPredictor per sampled core count, but the
-/// underlying analysis (in-core split + traffic engine + claim replay)
-/// depends only on the block, so N core points share one evaluation.
-/// The block hash covers (machine name, assembly); the composition also
-/// depends on the hierarchy constants, which a loaded what-if model can
-/// edit without renaming, so they join the key.
-///
-/// The guard relationship is machine-checked (support/annotations.hpp).
-/// The mutex is a leaf of the lock hierarchy: it may be acquired while a
-/// service Job's mutex is held (the evaluate stage calls predict()), and
-/// acquires nothing itself.
-struct EcmMemo {
-  support::Mutex mu;
-  std::map<std::string, ecm::Prediction> entries INCORE_GUARDED_BY(mu);
-};
-
-EcmMemo& ecm_memo() {
-  static EcmMemo memo;
-  return memo;
-}
-
-ecm::Prediction memoized_ecm(const Block& b, const analysis::Report& rep) {
-  EcmMemo& memo = ecm_memo();
-  const uarch::HierarchyParams& h = b.mm->hierarchy;
-  // One hash definition everywhere (support::block_key): reuse the sweep's
-  // dedup key when the block carries it, re-derive it through the same
-  // helper when the block was built without one (raw predict() calls).
-  const std::string block_hash =
-      b.hash.empty() ? support::block_key(b.mm->name(), b.gen.assembly)
-                     : b.hash;
-  const std::string key =
-      block_hash + support::format("|%.17g|%.17g|%.17g|%.17g|%d|%d",
-                               h.cy_per_cl_l1_l2, h.cy_per_cl_l2_l3,
-                               h.cy_per_cl_l3_mem, h.socket_cl_per_cy,
-                               h.socket_cores,
-                               h.write_allocate_evaded ? 1 : 0);
-  {
-    const support::LockGuard lock(memo.mu);
-    auto it = memo.entries.find(key);
-    if (it != memo.entries.end()) return it->second;
-  }
-  const ecm::Prediction ep = ecm::predict_block(rep, b.gen.program, *b.mm);
-  const support::LockGuard lock(memo.mu);
-  return memo.entries.emplace(key, ep).first->second;
-}
-
-}  // namespace
-
 Prediction EcmPredictor::predict(const Block& b) const {
   return timed_predict(id_, [&](Prediction& p) {
-    const analysis::Report rep = analysis::analyze(b.gen.program, *b.mm);
+    const BlockScope* scope = BlockScope::find(b);
+    const ecm::Prediction ep =
+        scope != nullptr ? scope->composition() : BlockScope(b).composition();
     const ecm::HierarchyParams h = ecm::hierarchy_for(*b.mm);
-    const ecm::Prediction ep = memoized_ecm(b, rep);
     p.saturation_cores =
         ep.t_l3mem > 0 ? std::min(ep.saturation_cores(h), h.socket_cores) : 0;
     if (cores_ != 0) {
@@ -244,15 +215,6 @@ std::unique_ptr<Predictor> make_predictor(Model m) {
     case Model::Testbed: return std::make_unique<TestbedPredictor>();
   }
   return nullptr;
-}
-
-Prediction predict_program(const asmir::Program& prog,
-                           const uarch::MachineModel& mm, Model m) {
-  Block b;
-  b.gen.program = prog;
-  b.gen.elements_per_iteration = 1;
-  b.mm = &mm;
-  return make_predictor(m)->predict(b);
 }
 
 Prediction predict_assembly(const Predictor& p, const std::string& text,

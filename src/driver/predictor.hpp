@@ -5,23 +5,21 @@
 // the execution testbed (exec::run) — plus the ECM composition for
 // node-level studies.
 //
-// Before this layer existed, every bench, example and CLI command
-// hand-rolled the same generate → parse → analyze/simulate/run glue against
-// three incompatible result structs.  A Predictor turns each back end into
-// "Block in, Prediction out", which is what the sweep engine (sweep.hpp)
-// batches, deduplicates and parallelizes.
+// A Predictor turns each back end into "Block in, Prediction out", which is
+// what the sweep engine (sweep.hpp) batches, deduplicates and parallelizes.
 //
 // Thread-safety contract: predict() is const and called concurrently from
 // the sweep worker pool.  Adapters must only read the (immutable) block and
-// machine model; per-call state stays on the stack.
+// machine model; per-call state stays on the stack or in a BlockScope.
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "analysis/depgraph.hpp"
+#include "analysis/analyze.hpp"
 #include "asmir/ir.hpp"
 #include "ecm/ecm.hpp"
 #include "exec/pipeline.hpp"
@@ -59,6 +57,45 @@ struct Block {
 /// synthetic; elements_per_iteration defaults to 1.
 [[nodiscard]] Block make_block(std::string assembly_text,
                                const uarch::MachineModel& mm);
+
+/// What the models of one block share: the default-options in-core report
+/// and the ECM composition on it, each computed on first use.  While open,
+/// a scope serves the predict() calls its thread makes on `block` itself;
+/// elsewhere predictors compute afresh.  The service's evaluate stage opens
+/// one per job.  Opening and closing are inline because the service core
+/// sits below this library.
+class BlockScope {
+ public:
+  explicit BlockScope(const Block& block)
+      : block_(block), outer_(current()) {
+    current() = this;
+  }
+  ~BlockScope() { current() = outer_; }
+  BlockScope(const BlockScope&) = delete;
+  BlockScope& operator=(const BlockScope&) = delete;
+
+  /// The calling thread's innermost scope when it was opened on `b`.
+  [[nodiscard]] static const BlockScope* find(const Block& b) {
+    const BlockScope* s = current();
+    return s != nullptr && &s->block_ == &b ? s : nullptr;
+  }
+
+  /// analysis::analyze with default options; a failure throws, unkept.
+  [[nodiscard]] const analysis::Report& report() const;
+  /// ecm::predict_block over report().
+  [[nodiscard]] const ecm::Prediction& composition() const;
+
+ private:
+  static const BlockScope*& current() {
+    static thread_local const BlockScope* scope = nullptr;
+    return scope;
+  }
+  const Block& block_;
+  const BlockScope* outer_;
+  // Filled on first use by the opening thread alone.
+  mutable std::optional<analysis::Report> report_;
+  mutable std::optional<ecm::Prediction> composition_;
+};
 
 /// What a prediction's number means.  InCore covers the three program-level
 /// models (L1-resident lower bound / simulation / measurement); the ECM
@@ -187,10 +224,6 @@ enum class Model : std::uint8_t { InCore, Mca, Testbed };
 
 [[nodiscard]] std::unique_ptr<Predictor> make_predictor(Model m);
 
-/// One-shot convenience: evaluate a parsed program (no kernel context).
-[[nodiscard]] Prediction predict_program(const asmir::Program& prog,
-                                         const uarch::MachineModel& mm,
-                                         Model m);
 /// One-shot convenience over a specific predictor and raw assembly text.
 [[nodiscard]] Prediction predict_assembly(const Predictor& p,
                                           const std::string& text,

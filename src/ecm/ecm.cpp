@@ -120,9 +120,14 @@ Prediction predict(const analysis::Report& rep, const BoundaryTraffic& t,
   return p;
 }
 
+static thread_local std::uint64_t t_compositions = 0;
+
+std::uint64_t compositions_run() { return t_compositions; }
+
 Prediction predict_block(const analysis::Report& rep,
                          const asmir::Program& prog,
                          const uarch::MachineModel& mm) {
+  ++t_compositions;
   const traffic::Result tr = traffic::analyze(prog, mm);
   return predict(rep, boundary_traffic(tr.volumes), hierarchy_for(mm));
 }

@@ -112,6 +112,9 @@ struct Prediction {
                                        const asmir::Program& prog,
                                        const uarch::MachineModel& mm);
 
+/// Compositions predict_block() has built on the calling thread so far.
+[[nodiscard]] std::uint64_t compositions_run();
+
 /// T_nOL / T_OL split of an in-core report: the maximum pressure on
 /// load/store ports vs. the maximum of recurrence and remaining port
 /// pressure.

@@ -99,9 +99,6 @@ class Arena {
   ExprId nary(ExprOp op, std::vector<ExprId> kids);
 
   [[nodiscard]] const ExprNode& at(ExprId id) const { return nodes_[id]; }
-  [[nodiscard]] const Affine& affine_at(std::uint64_t idx) const {
-    return affines_[idx];
-  }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   /// Memoized canonical form of `id` under `mode`.

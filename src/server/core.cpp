@@ -131,8 +131,8 @@ JobHandle ServiceCore::submit(JobRequest req) {
     const LockGuard jlock(j.mu_);
     j.req_ = std::move(req);
     if (j.req_.block.hash.empty()) {
-      // Blocks built outside make_block (raw predict_program-style callers)
-      // still get the canonical dedup identity.
+      // Blocks built outside make_block still get the canonical dedup
+      // identity.
       j.req_.block.hash = support::block_key(j.req_.block.mm->name(),
                                              j.req_.block.gen.assembly);
     }
@@ -252,6 +252,9 @@ bool ServiceCore::run_stage(Stage s, const JobHandle& job) {
         break;
       }
       case Stage::Evaluate: {
+        // The job's predictors share one in-core analysis and one ECM
+        // composition, computed on first use and dropped with the scope.
+        const driver::BlockScope scope(req.block);
         res.predictions.reserve(req.predictors.size());
         for (const driver::Predictor* p : req.predictors) {
           const std::string memo_key = req.block.hash + '|' + p->id();

@@ -51,10 +51,6 @@ void Histogram::add(double x) {
   raw_.push_back(x);
 }
 
-void Histogram::add_all(std::span<const double> xs) {
-  for (double x : xs) add(x);
-}
-
 double Histogram::bucket_lo(std::size_t bucket) const {
   return lo_ + width_ * static_cast<double>(bucket);
 }

@@ -21,7 +21,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  void add_all(std::span<const double> xs);
 
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bucket) const { return counts_[bucket]; }

@@ -191,7 +191,6 @@ class MachineModel {
 
   /// Re-registration policy for add(); see OnDuplicate.
   void set_on_duplicate(OnDuplicate policy) { on_duplicate_ = policy; }
-  [[nodiscard]] OnDuplicate on_duplicate() const { return on_duplicate_; }
   /// Form keys whose re-registration was suppressed under OnDuplicate::Warn,
   /// in registration order.  Consumed by the model verifier (diagnostic
   /// VM007).
@@ -218,13 +217,6 @@ class MachineModel {
   /// Full resolution incl. folded-access decomposition and mnemonic
   /// fallback.  Throws support::UnknownInstruction when nothing applies.
   [[nodiscard]] Resolved resolve(const asmir::Instruction& ins) const;
-
-  /// Bare-mnemonic lookup used as the last resolution resort (exposed so the
-  /// verifier can classify resolution paths without re-running resolve()).
-  [[nodiscard]] const InstrPerf* find_fallback(
-      const std::string& mnemonic) const {
-    return find_mnemonic_fallback(mnemonic);
-  }
 
   [[nodiscard]] std::size_t table_size() const { return table_.size(); }
 

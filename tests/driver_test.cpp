@@ -1,11 +1,13 @@
 // Tests for the driver layer: the predictor adapters against the raw back
-// ends, the sweep engine's dedup/memoization accounting, byte-identical
-// output regardless of the worker count, and the name registries the CLI
-// parses with.
+// ends, the per-block scope their evaluations share, the sweep engine's
+// dedup/memoization accounting, byte-identical output regardless of the
+// worker count, and the name registries the CLI parses with.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -459,4 +461,175 @@ TEST(Predictor, MulticoreEcmAdapterMatchesEcmLibrary) {
   EXPECT_NEAR(p.cycles_per_iteration, ep.multicore_cycles(4, h), 1e-12);
   EXPECT_EQ(p.saturation_cores, std::min(ep.saturation_cores(h),
                                          h.socket_cores));
+}
+
+// --------------------------------------------------------------- BlockScope
+
+namespace {
+
+/// Reports the calling thread's analysis and composition counters.  First
+/// and last in a job's predictor list, it brackets what the predictors in
+/// between computed on the evaluate thread.
+class CounterProbe final : public driver::Predictor {
+ public:
+  explicit CounterProbe(std::string id) : id_(std::move(id)) {}
+  [[nodiscard]] const std::string& id() const override { return id_; }
+  [[nodiscard]] driver::Prediction predict(
+      const driver::Block&) const override {
+    driver::Prediction p;
+    p.model = id_;
+    p.ok = true;
+    p.cycles_per_iteration = static_cast<double>(analysis::analyses_run());
+    p.throughput_cycles = static_cast<double>(ecm::compositions_run());
+    return p;
+  }
+
+ private:
+  std::string id_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Every serialized field of a prediction, compared bit for bit.
+void expect_identical(const driver::Prediction& got,
+                      const driver::Prediction& want) {
+  EXPECT_EQ(got.model, want.model);
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_TRUE(same_bits(got.cycles_per_iteration, want.cycles_per_iteration))
+      << got.model << ": " << got.cycles_per_iteration << " vs "
+      << want.cycles_per_iteration;
+  EXPECT_EQ(got.scope, want.scope);
+  EXPECT_EQ(got.cores, want.cores);
+  EXPECT_EQ(got.saturation_cores, want.saturation_cores);
+  EXPECT_TRUE(same_bits(got.throughput_cycles, want.throughput_cycles));
+  EXPECT_TRUE(same_bits(got.loop_carried_cycles, want.loop_carried_cycles));
+  EXPECT_TRUE(same_bits(got.critical_path_cycles, want.critical_path_cycles));
+}
+
+}  // namespace
+
+TEST(BlockScope, CoresAxisComputesOncePerBlock) {
+  const driver::Block b = driver::make_block(triad_spr());
+  const driver::InCorePredictor osaca;
+  std::vector<driver::EcmPredictor> axis;
+  for (int n : {1, 2, 4, 8}) axis.push_back(driver::EcmPredictor::multicore(n));
+  const CounterProbe before("probe-before");
+  const CounterProbe after("probe-after");
+  std::vector<const driver::Predictor*> preds = {&before, &osaca};
+  for (const driver::EcmPredictor& e : axis) preds.push_back(&e);
+  preds.push_back(&after);
+
+  server::ServiceConfig cfg;
+  cfg.evaluate_workers = 1;
+  server::ServiceCore core(cfg);
+  server::JobRequest req;
+  req.block = b;
+  req.parsed = true;
+  req.predictors = preds;
+  const server::JobResult res = core.submit(std::move(req))->wait();
+  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_EQ(res.predictions.size(), preds.size());
+  for (const driver::Prediction& p : res.predictions) {
+    ASSERT_TRUE(p.ok) << p.model << ": " << p.error;
+  }
+  const driver::Prediction& p0 = res.predictions.front();
+  const driver::Prediction& p1 = res.predictions.back();
+  EXPECT_EQ(p1.cycles_per_iteration - p0.cycles_per_iteration, 1.0)
+      << "in-core analyses for one job";
+  EXPECT_EQ(p1.throughput_cycles - p0.throughput_cycles, 1.0)
+      << "ECM compositions for one job";
+
+  // Outside a scope every call computes afresh.
+  const std::uint64_t a0 = analysis::analyses_run();
+  const std::uint64_t c0 = ecm::compositions_run();
+  (void)osaca.predict(b);
+  for (const driver::EcmPredictor& e : axis) (void)e.predict(b);
+  EXPECT_EQ(analysis::analyses_run() - a0, 5u);
+  EXPECT_EQ(ecm::compositions_run() - c0, 4u);
+}
+
+TEST(BlockScope, ServesOnlyItsBlockAndTheDefaultOptions) {
+  const driver::Block b = driver::make_block(triad_spr());
+  const driver::Block copy = b;
+  analysis::DepOptions renamed;
+  renamed.rename_moves = true;
+  ASSERT_FALSE(renamed == analysis::DepOptions{});
+  const driver::InCorePredictor osaca;
+  const driver::InCorePredictor rename_aware("osaca-rename", renamed);
+
+  const driver::BlockScope scope(b);
+  const std::uint64_t a0 = analysis::analyses_run();
+  (void)osaca.predict(b);
+  (void)osaca.predict(b);
+  EXPECT_EQ(analysis::analyses_run() - a0, 1u);
+  (void)rename_aware.predict(b);  // other options: its own analysis
+  (void)osaca.predict(copy);      // another Block object: not this scope
+  EXPECT_EQ(analysis::analyses_run() - a0, 3u);
+  EXPECT_EQ(driver::BlockScope::find(copy), nullptr);
+}
+
+TEST(BlockScope, FailedAnalysisIsReportedByEveryPredictor) {
+  const auto& mm = uarch::machine(uarch::Micro::GoldenCove);
+  const driver::Block b =
+      driver::make_block("frobnicate %rax, %rbx\naddq $1, %rax\n", mm);
+  const driver::InCorePredictor osaca;
+  const driver::EcmPredictor two = driver::EcmPredictor::multicore(2);
+  const driver::Prediction want_osaca = osaca.predict(b);
+  const driver::Prediction want_two = two.predict(b);
+  ASSERT_FALSE(want_osaca.ok);
+  ASSERT_FALSE(want_two.ok);
+
+  const driver::BlockScope scope(b);
+  expect_identical(osaca.predict(b), want_osaca);
+  expect_identical(two.predict(b), want_two);
+}
+
+TEST(BlockScope, SharedPredictionsEqualStandaloneCalls) {
+  std::vector<std::unique_ptr<driver::Predictor>> owned;
+  owned.push_back(std::make_unique<driver::InCorePredictor>());
+  analysis::DepOptions renamed;
+  renamed.rename_moves = true;
+  owned.push_back(
+      std::make_unique<driver::InCorePredictor>("osaca-rename", renamed));
+  for (auto loc : {ecm::DataLocation::L1, ecm::DataLocation::L2,
+                   ecm::DataLocation::L3, ecm::DataLocation::Memory}) {
+    owned.push_back(std::make_unique<driver::EcmPredictor>(loc));
+  }
+  owned.push_back(std::make_unique<driver::EcmPredictor>(
+      driver::EcmPredictor::node_throughput()));
+  for (int n : {1, 2, 4, 8}) {
+    owned.push_back(std::make_unique<driver::EcmPredictor>(
+        driver::EcmPredictor::multicore(n)));
+  }
+  std::vector<const driver::Predictor*> preds;
+  for (const auto& p : owned) preds.push_back(p.get());
+
+  driver::SweepOptions opt;
+  opt.compilers = {kernels::Compiler::Gcc};
+  opt.opt_levels = {kernels::OptLevel::O1, kernels::OptLevel::O3};
+  const std::vector<kernels::Variant> matrix = driver::filter_matrix(opt);
+  ASSERT_FALSE(matrix.empty());
+  // Standalone calls on this thread, outside any scope, one per block.
+  const driver::BlockSet set = driver::dedup_blocks(matrix);
+  std::vector<std::vector<driver::Prediction>> want(set.blocks.size());
+  for (std::size_t i = 0; i < set.blocks.size(); ++i) {
+    ASSERT_EQ(driver::BlockScope::find(set.blocks[i]), nullptr);
+    for (const driver::Predictor* p : preds) {
+      want[i].push_back(p->predict(set.blocks[i]));
+    }
+  }
+  for (int jobs : {1, 4}) {
+    const driver::SweepResult r = driver::sweep(matrix, preds, jobs);
+    ASSERT_EQ(r.rows.size(), matrix.size());
+    for (const driver::SweepRow& row : r.rows) {
+      ASSERT_EQ(r.blocks[row.block_index].hash,
+                set.blocks[row.block_index].hash);
+      for (std::size_t m = 0; m < preds.size(); ++m) {
+        expect_identical(row.predictions[m], want[row.block_index][m]);
+      }
+    }
+  }
 }

@@ -280,13 +280,10 @@ int cmd_analyze(int argc, char** argv) {
   if (rename_aware)
     std::printf("(rename-aware: reg-reg moves eliminated on chains)\n");
   std::fputs(rep.to_table().c_str(), stdout);
-  const driver::Prediction meas =
-      driver::predict_program(prog, mm, driver::Model::Testbed);
-  const driver::Prediction cmp =
-      driver::predict_program(prog, mm, driver::Model::Mca);
   std::printf("\ntestbed measurement: %.2f cy/iter | LLVM-MCA comparator: "
               "%.2f cy/iter\n",
-              meas.cycles_per_iteration, cmp.cycles_per_iteration);
+              exec::run(prog, mm).cycles_per_iteration,
+              mca::simulate(prog, mm).cycles_per_iteration);
   return 0;
 }
 
