@@ -12,22 +12,30 @@ CacheLevel::CacheLevel(const CacheConfig& cfg) : cfg_(cfg) {
 }
 
 CacheLevel::Line* CacheLevel::find(std::uint64_t line_addr) {
-  const std::uint64_t set = line_addr % sets_;
-  const std::uint64_t tag = line_addr / sets_;
-  for (int w = 0; w < cfg_.ways; ++w) {
-    Line& l = lines_[set * static_cast<std::size_t>(cfg_.ways) +
-                     static_cast<std::size_t>(w)];
-    if (l.valid && l.tag == tag) return &l;
+  const std::uint64_t key = (line_addr / sets_) << 2 | kValid;
+  Line* way = set_begin(line_addr % sets_);
+  for (int w = 0; w < cfg_.ways; ++w, ++way) {
+    if ((way->key & ~kDirty) == key) return way;
   }
   return nullptr;
 }
 
 bool CacheLevel::probe(std::uint64_t line_addr, bool make_dirty) {
-  ++tick_;
   if (Line* l = find(line_addr)) {
     ++stats_.hits;
-    l->lru = tick_;
-    l->dirty |= make_dirty;
+    l->lru = ++tick_;
+    if (make_dirty) l->key |= kDirty;
+    return true;
+  }
+  ++stats_.misses;
+  return false;
+}
+
+bool CacheLevel::take(std::uint64_t line_addr, bool* was_dirty) {
+  if (Line* l = find(line_addr)) {
+    ++stats_.hits;
+    *was_dirty = (l->key & kDirty) != 0;
+    l->key = 0;
     return true;
   }
   ++stats_.misses;
@@ -35,51 +43,36 @@ bool CacheLevel::probe(std::uint64_t line_addr, bool make_dirty) {
 }
 
 void CacheLevel::insert(std::uint64_t line_addr, bool dirty, Evicted* evicted) {
-  ++tick_;
   const std::uint64_t set = line_addr % sets_;
-  const std::uint64_t tag = line_addr / sets_;
+  Line* const first = set_begin(set);
   Line* victim = nullptr;
-  for (int w = 0; w < cfg_.ways; ++w) {
-    Line& l = lines_[set * static_cast<std::size_t>(cfg_.ways) +
-                     static_cast<std::size_t>(w)];
-    if (!l.valid) {
-      victim = &l;
+  for (Line* l = first; l != first + cfg_.ways; ++l) {
+    if ((l->key & kValid) == 0) {
+      victim = l;
       break;
     }
-    if (victim == nullptr || l.lru < victim->lru) victim = &l;
+    if (victim == nullptr || l->lru < victim->lru) victim = l;
   }
+  const bool victim_valid = (victim->key & kValid) != 0;
   if (evicted != nullptr) {
-    evicted->valid = victim->valid;
-    evicted->dirty = victim->dirty;
-    evicted->line_addr = victim->tag * sets_ + set;
+    evicted->valid = victim_valid;
+    evicted->dirty = (victim->key & kDirty) != 0;
+    evicted->line_addr = (victim->key >> 2) * sets_ + set;
   }
-  if (victim->valid) ++stats_.evictions;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->dirty = dirty;
-  victim->lru = tick_;
-}
-
-bool CacheLevel::remove(std::uint64_t line_addr, bool* was_dirty) {
-  if (Line* l = find(line_addr)) {
-    if (was_dirty != nullptr) *was_dirty = l->dirty;
-    l->valid = false;
-    l->dirty = false;
-    return true;
-  }
-  return false;
+  if (victim_valid) ++stats_.evictions;
+  victim->key = (line_addr / sets_) << 2 | (dirty ? kDirty : 0) | kValid;
+  victim->lru = ++tick_;
 }
 
 std::vector<CacheLevel::Evicted> CacheLevel::drain() {
   std::vector<Evicted> out;
   for (std::size_t s = 0; s < sets_; ++s) {
-    for (int w = 0; w < cfg_.ways; ++w) {
-      Line& l = lines_[s * static_cast<std::size_t>(cfg_.ways) +
-                       static_cast<std::size_t>(w)];
-      if (l.valid) {
-        out.push_back(Evicted{true, l.dirty, l.tag * sets_ + s});
-        l.valid = false;
-        l.dirty = false;
+    Line* const first = set_begin(s);
+    for (Line* l = first; l != first + cfg_.ways; ++l) {
+      if ((l->key & kValid) != 0) {
+        out.push_back(
+            Evicted{true, (l->key & kDirty) != 0, (l->key >> 2) * sets_ + s});
+        l->key = 0;
       }
     }
   }
@@ -105,6 +98,7 @@ CacheHierarchy::CacheHierarchy(const CacheConfig& l1, const CacheConfig& l2,
   levels_.emplace_back(l1);
   levels_.emplace_back(l2);
   levels_.emplace_back(l3);
+  mru_.assign(levels_[0].sets(), MruLine{});
 }
 
 void CacheHierarchy::place(int idx, std::uint64_t line_addr, bool dirty) {
@@ -118,17 +112,29 @@ void CacheHierarchy::place(int idx, std::uint64_t line_addr, bool dirty) {
 }
 
 void CacheHierarchy::access(std::uint64_t line_addr, bool is_store,
-                            bool claim) {
-  // L1 hit?
-  if (levels_[0].probe(line_addr, is_store)) return;
-  // Hit in a lower level: promote to L1 (exclusive hierarchy).
-  for (std::size_t i = 1; i < levels_.size(); ++i) {
-    CacheLevel& lvl = levels_[i];
-    if (lvl.probe(line_addr, false)) {
+                            bool claim, bool cold) {
+  MruLine& mru = mru_[line_addr % mru_.size()];
+  if (mru.line == line_addr && (mru.dirty || !is_store)) {
+    levels_[0].count_hit();
+    ++mru_hits_;
+    return;
+  }
+  // A load that hits L1 leaves the line's dirty bit as it was, unknown
+  // here: the record then claims only what is known.
+  mru = {line_addr, is_store};
+  if (cold) {
+    for (CacheLevel& lvl : levels_) lvl.count_miss();
+  } else {
+    // L1 hit?
+    if (levels_[0].probe(line_addr, is_store)) return;
+    // Hit in a lower level: promote to L1 (exclusive hierarchy).
+    for (std::size_t i = 1; i < levels_.size(); ++i) {
       bool dirty = false;
-      lvl.remove(line_addr, &dirty);
-      place(0, line_addr, dirty || is_store);
-      return;
+      if (levels_[i].take(line_addr, &dirty)) {
+        mru.dirty = dirty || is_store;
+        place(0, line_addr, mru.dirty);
+        return;
+      }
     }
   }
   // Miss everywhere: claim allocates without a memory read.
@@ -141,11 +147,19 @@ void CacheHierarchy::access(std::uint64_t line_addr, bool is_store,
 }
 
 void CacheHierarchy::load(std::uint64_t addr) {
-  access(addr / static_cast<std::uint64_t>(line_bytes_), false, false);
+  load_line(addr / static_cast<std::uint64_t>(line_bytes_), false);
 }
 
 void CacheHierarchy::store(std::uint64_t addr, StoreKind kind) {
-  const std::uint64_t line = addr / static_cast<std::uint64_t>(line_bytes_);
+  store_line(addr / static_cast<std::uint64_t>(line_bytes_), kind, false);
+}
+
+void CacheHierarchy::load_line(std::uint64_t line, bool cold) {
+  access(line, false, false, cold);
+}
+
+void CacheHierarchy::store_line(std::uint64_t line, StoreKind kind,
+                                bool cold) {
   ++stored_lines_;
   if (kind == StoreKind::NonTemporal) {
     ++mem_.lines_written;  // full-line write combining straight to memory
@@ -153,7 +167,7 @@ void CacheHierarchy::store(std::uint64_t addr, StoreKind kind) {
   }
   const bool claim =
       wa_ == WaMechanism::AutomaticClaim && detector_.should_claim(line);
-  access(line, true, claim);
+  access(line, true, claim, cold);
 }
 
 void CacheHierarchy::drain() {
@@ -162,6 +176,7 @@ void CacheHierarchy::drain() {
       if (ev.dirty) ++mem_.lines_written;
     }
   }
+  mru_.assign(mru_.size(), MruLine{});
 }
 
 double CacheHierarchy::store_stream_ratio(std::uint64_t base,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "memsim/cachesim.hpp"
@@ -92,6 +94,7 @@ SyntheticLayout synthesize_layout(const Result& r,
     op.lo = base[stream_of[ai]] + a.effective_displacement();
     op.width = std::max<long long>(a.width_bits / 8, 1);
     op.stride = r.streams[stream_of[ai]].stride_bytes.value_or(0);
+    op.stream = static_cast<int>(stream_of[ai]);
     op.is_load = a.is_load;
     op.is_store = a.is_store;
     op.nontemporal =
@@ -149,6 +152,33 @@ namespace {
   return a >= 0 ? a / b : -((-a + b - 1) / b);
 }
 
+/// The number of streams `ops` name.  Throws std::logic_error if two of
+/// them touch a common line within `iterations` iterations: the replay
+/// reads a line outside its own stream's touched range as untouched.
+std::size_t count_disjoint_streams(const std::vector<LayoutOp>& ops,
+                                   long long iterations, int line) {
+  int streams = 0;
+  for (const LayoutOp& op : ops) streams = std::max(streams, op.stream + 1);
+  std::vector<std::pair<long long, long long>> lines(
+      static_cast<std::size_t>(streams),
+      {std::numeric_limits<long long>::max(),
+       std::numeric_limits<long long>::min()});
+  for (const LayoutOp& op : ops) {
+    const long long walk = op.stride * (iterations - 1);
+    auto& [first, last] = lines[static_cast<std::size_t>(op.stream)];
+    first = std::min(first, floor_div(op.lo + std::min(walk, 0ll), line));
+    last = std::max(last, floor_div(op.lo + op.width - 1 + std::max(walk, 0ll),
+                                    line));
+  }
+  std::sort(lines.begin(), lines.end());
+  for (std::size_t k = 1; k < lines.size(); ++k) {
+    if (lines[k].first <= lines[k - 1].second) {
+      throw std::logic_error("traffic::replay: stream regions overlap");
+    }
+  }
+  return lines.size();
+}
+
 [[nodiscard]] ReplayCounters counters(const memsim::CacheHierarchy& h) {
   return {h.level(0).stats().misses, h.level(0).stats().evictions,
           h.level(1).stats().hits,   h.level(1).stats().evictions,
@@ -188,6 +218,7 @@ struct KeptReplay {
 
 thread_local KeptReplay t_kept;
 thread_local std::uint64_t t_simulated = 0;
+thread_local ReplayWork t_work;
 
 }  // namespace
 
@@ -211,10 +242,34 @@ ReplayCounters replay(const SyntheticLayout& layout,
   kept.micro = mm.micro();
   kept.n_windows = 0;
 
-  memsim::CacheHierarchy hier = memsim::CacheHierarchy::for_model(mm);
   const int line = mm.cache.line_bytes;
   const long long warmup = layout.warmup_iterations;
   const long long total = warmup + layout.measure_iterations;
+  // The cold rule below needs each stream in a region of its own.
+  const std::size_t streams = count_disjoint_streams(layout.ops, total, line);
+  // Each stream's lines touched so far, as [first, last]: empty at start.
+  std::vector<std::pair<long long, long long>> touched(
+      streams, {std::numeric_limits<long long>::max(),
+                std::numeric_limits<long long>::min()});
+
+  // Each op's first line at the current iteration and the offset of its
+  // first byte in that line, stepped by the stride without dividing.
+  struct Walk {
+    long long line = 0, offset = 0, step_lines = 0, step_offset = 0;
+  };
+  std::vector<Walk> walks;
+  walks.reserve(layout.ops.size());
+  for (const LayoutOp& op : layout.ops) {
+    Walk w;
+    w.line = floor_div(op.lo, line);
+    w.offset = op.lo - w.line * line;
+    w.step_lines = floor_div(op.stride, line);
+    w.step_offset = op.stride - w.step_lines * line;
+    walks.push_back(w);
+  }
+
+  memsim::CacheHierarchy hier = memsim::CacheHierarchy::for_model(mm);
+  ReplayWork work;
   ReplayCounters begin;
   long long window = 0;      // window recorded at the next mark
   long long mark = warmup;   // iteration before which counters are read
@@ -228,22 +283,47 @@ ReplayCounters replay(const SyntheticLayout& layout,
       window = window == 0 ? 1 : 2 * window;
       mark = warmup + window;
     }
-    for (const LayoutOp& op : layout.ops) {
-      const long long lo = op.lo + i * op.stride;
-      const long long l0 = floor_div(lo, line);
-      const long long l1 = floor_div(lo + op.width - 1, line);
-      for (long long l = l0; l <= l1; ++l) {
-        const auto addr = static_cast<std::uint64_t>(l * line);
+    for (std::size_t k = 0; k < layout.ops.size(); ++k) {
+      const LayoutOp& op = layout.ops[k];
+      Walk& w = walks[k];
+      auto& [first, last] = touched[static_cast<std::size_t>(op.stream)];
+      long long l = w.line;
+      for (long long left = w.offset + op.width; left > 0; left -= line, ++l) {
+        const auto line_index = static_cast<std::uint64_t>(l);
         if (op.nontemporal) {
-          hier.store(addr, memsim::StoreKind::NonTemporal);
+          hier.store_line(line_index, memsim::StoreKind::NonTemporal, false);
+          ++work.line_accesses;
           continue;
         }
-        if (op.is_load) hier.load(addr);
-        if (op.is_store) hier.store(addr, memsim::StoreKind::Standard);
+        // Outside the stream's touched range, and so outside every
+        // stream's: no access has brought the line into the hierarchy.
+        const bool cold = l < first || l > last;
+        first = std::min(first, l);
+        last = std::max(last, l);
+        if (cold) ++work.cold;
+        if (op.is_load) {
+          hier.load_line(line_index, cold);
+          ++work.line_accesses;
+        }
+        // An RMW's store follows its load, which made the line resident.
+        if (op.is_store) {
+          hier.store_line(line_index, memsim::StoreKind::Standard,
+                          cold && !op.is_load);
+          ++work.line_accesses;
+        }
+      }
+      w.line += w.step_lines;
+      w.offset += w.step_offset;
+      if (w.offset >= line) {
+        w.offset -= line;
+        ++w.line;
       }
     }
   }
   t_simulated += static_cast<std::uint64_t>(total);
+  t_work.line_accesses += work.line_accesses;
+  t_work.cold += work.cold;
+  t_work.mru += hier.mru_hits();
   const ReplayCounters d = minus(counters(hier), begin);
   kept.windows[kept.n_windows++] = {layout.measure_iterations, d};
   kept.valid = true;
@@ -251,5 +331,7 @@ ReplayCounters replay(const SyntheticLayout& layout,
 }
 
 std::uint64_t simulated_replay_iterations() { return t_simulated; }
+
+ReplayWork replay_work() { return t_work; }
 
 }  // namespace incore::traffic

@@ -12,7 +12,9 @@
 // docs/traffic.md for why residency, not stream span, bounds it) and the
 // one replay loop both engines meter.  A block gets one layout and one
 // warmup whatever window is measured, so the shorter VP014 window is a
-// prefix of VP011's and the replay serves it from VP011's run.
+// prefix of VP011's and the replay serves it from VP011's run.  The
+// disjoint regions also tell the replay which lines no access has touched
+// yet, so it can skip their probes.
 
 #include <cstdint>
 #include <vector>
@@ -35,6 +37,7 @@ struct LayoutOp {
   long long lo = 0;      // synthesized region base + effective displacement
   long long width = 1;   // bytes
   long long stride = 0;  // per-iteration advance
+  int stream = 0;        // index into Result::streams (its region)
   bool is_load = false;
   bool is_store = false;
   bool nontemporal = false;
@@ -97,9 +100,18 @@ struct ReplayCounters {
 /// Replays `layout.warmup_iterations` then `layout.measure_iterations`
 /// iterations of `layout.ops` through a fresh
 /// memsim::CacheHierarchy::for_model(mm) and returns the counters at the
-/// end of the measured window minus those at its start.  Each access
-/// expands to one simulator call per touched line.  There is no drain:
-/// the window's counts are the steady-state rates.  `layout` must be ok.
+/// end of the measured window minus those at its start.  There is no
+/// drain: the window's counts are the steady-state rates.  `layout` must
+/// be ok.
+///
+/// Every touched line of every access is counted, but only the lines
+/// whose outcome is not already known are probed.  A line outside the
+/// range its stream has touched so far is resident nowhere, since each
+/// stream has a region of its own: it is passed to the hierarchy as cold,
+/// which counts a miss at each level and fills without probing.  The
+/// hierarchy answers a re-access of its L1 set's most recently used line
+/// by counting the hit.  Both are exact (docs/traffic.md).  Throws
+/// std::logic_error if two streams' regions share a line.
 ///
 /// The calling thread keeps its last replay: the key (ops, warmup, cache
 /// geometry, machine) and the window's counters at every power-of-two
@@ -113,5 +125,15 @@ struct ReplayCounters {
 /// Iterations the calling thread's replays have simulated so far; a
 /// window served from the kept replay adds none.
 [[nodiscard]] std::uint64_t simulated_replay_iterations();
+
+/// Simulator calls the calling thread's replays have made so far, and
+/// how many of them skipped the probes: marked cold (a line no access had
+/// touched) or answered by the hierarchy's most-recently-used rule.
+struct ReplayWork {
+  std::uint64_t line_accesses = 0;
+  std::uint64_t cold = 0;
+  std::uint64_t mru = 0;
+};
+[[nodiscard]] ReplayWork replay_work();
 
 }  // namespace incore::traffic

@@ -1,26 +1,35 @@
-// Golden pin of the static traffic engine's full output on the corpus.
+// Golden pins of the traffic engine on the corpus: the static engine's
+// full output, and the replay counters its cross-check compares it with.
 // Every field of traffic::Result -- stream classification, per-iteration
 // line rates, bands with their reuse levels and gaps, and the per-level
 // volumes -- is rendered with hexfloat doubles and hashed per unique
 // (machine, assembly) block.  The hashes in golden/traffic_results.tsv are
 // bit-exact: any change of any rate in the last ulp fails the test.
 //
-// On mismatch the test writes the current hashes to
-// traffic_results.actual.tsv in its working directory; if the change is
-// intentional, copy that file over the golden and say why in the commit.
+// On mismatch a test writes the current hashes to
+// traffic_results.actual.tsv (replay_counters.actual.tsv) in its working
+// directory; if the change is intentional, copy that file over the golden
+// and say why in the commit.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "dataflow/dataflow.hpp"
 #include "driver/predictor.hpp"
 #include "driver/sweep.hpp"
+#include "ecm/crosscheck.hpp"
 #include "kernels/kernels.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
+#include "traffic/crosscheck.hpp"
+#include "traffic/layout.hpp"
 #include "traffic/traffic.hpp"
 
 using namespace incore;
@@ -101,6 +110,79 @@ TEST(TrafficGolden, CorpusResultsAreBitIdentical) {
   EXPECT_EQ(blocks, golden.size());
   if (mismatches > 0 || blocks != golden.size()) {
     std::ofstream("traffic_results.actual.tsv") << actual.str();
+  }
+}
+
+/// The counters of the VP011 window and of the VP014 window, replayed on
+/// the machine's real cache geometry, with the layout facts that decide
+/// them.
+std::string dump_replays(const asmir::Program& prog,
+                         const uarch::MachineModel& mm) {
+  const traffic::Result r = traffic::analyze(prog, mm);
+  const dataflow::Analysis df = dataflow::analyze(prog);
+  std::string out;
+  for (const long long window :
+       {traffic::CrosscheckOptions{}.measure_iterations,
+        ecm::ScalingOptions{}.measure_iterations}) {
+    const traffic::SyntheticLayout layout = traffic::synthesize_layout(
+        r, df, prog, mm, window, traffic::kMaxReplayIterations);
+    if (!layout.ok) return out + "no layout\n";
+    const traffic::ReplayCounters d = traffic::replay(layout, mm);
+    out += format("window %lld warmup %lld capped %d:", window,
+                  layout.warmup_iterations, layout.capped ? 1 : 0);
+    for (const std::uint64_t n : {d.l1_miss, d.l1_evict, d.l2_hit, d.l2_evict,
+                                  d.l3_hit, d.mem_read, d.mem_write,
+                                  d.claimed}) {
+      out += format(" %llu", static_cast<unsigned long long>(n));
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+// Golden pin of the replay the corpus gates meter: every counter of each
+// block's VP011 window and of its VP014 window, on the machine's own
+// caches, hashed per unique block into golden/replay_counters.tsv.  A
+// change of the cache simulator or of the replay loop that moves any
+// counter by one fails here.  Blocks are spread over four threads, each
+// replaying a block's two windows in turn (the second is served from the
+// first's run, as in the gates).
+TEST(TrafficGolden, ReplayCountersAreBitIdentical) {
+  const std::map<std::string, std::string> golden =
+      read_golden(INCORE_REPLAY_GOLDEN);
+  ASSERT_FALSE(golden.empty()) << "missing golden " << INCORE_REPLAY_GOLDEN;
+
+  const std::vector<driver::Block> blocks =
+      driver::dedup_blocks(kernels::test_matrix()).blocks;
+  std::vector<std::string> texts(blocks.size());
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t i = next++; i < blocks.size(); i = next++) {
+        texts[i] = dump_replays(blocks[i].gen.program, *blocks[i].mm);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::ostringstream actual;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::string label = blocks[i].variant.label();
+    const std::string hash = support::hex64(support::fnv1a64(texts[i]));
+    actual << label << '\t' << hash << '\n';
+    const auto it = golden.find(label);
+    if (it == golden.end() || it->second != hash) {
+      ++mismatches;
+      ADD_FAILURE() << label << ": replay counter hash " << hash
+                    << " differs from the golden\n"
+                    << texts[i];
+    }
+  }
+  EXPECT_EQ(blocks.size(), golden.size());
+  if (mismatches > 0 || blocks.size() != golden.size()) {
+    std::ofstream("replay_counters.actual.tsv") << actual.str();
   }
 }
 

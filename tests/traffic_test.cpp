@@ -19,6 +19,7 @@
 #include <deque>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -40,6 +41,7 @@
 #include "uarch/model.hpp"
 #include "verify/diagnostics.hpp"
 
+#include "probing_hierarchy.hpp"
 #include "random_bodies.hpp"
 
 using namespace incore;
@@ -903,6 +905,221 @@ TEST(TrafficReplay, MemoKeptPerThreadUnderConcurrency) {
     served += parallel[i].vp014.replay_ran && parallel[i].vp014_iterations == 0;
   }
   EXPECT_GE(served, 4);
+}
+
+// ------------------------------------------------------ skip rules
+// traffic::replay steps each op's line instead of dividing its address,
+// marks a line outside its stream's touched range cold, and its hierarchy
+// answers a re-access of an L1 set's most recently used line without a
+// probe.  The plain loop below replays the same layout without any of
+// that: each address divided into its line, one load/store call per
+// touched line, through test::ProbingHierarchy, which issues every
+// probe.  What the two sides share is the memsim::CacheLevel code, which
+// the cachesim tests cover.  The counters must agree at every window the
+// replay keeps.
+
+traffic::ReplayCounters minus(const traffic::ReplayCounters& a,
+                              const traffic::ReplayCounters& b) {
+  return {a.l1_miss - b.l1_miss,     a.l1_evict - b.l1_evict,
+          a.l2_hit - b.l2_hit,       a.l2_evict - b.l2_evict,
+          a.l3_hit - b.l3_hit,       a.mem_read - b.mem_read,
+          a.mem_write - b.mem_write, a.claimed - b.claimed};
+}
+
+struct PlainReplay {
+  /// (window, counters over it) at every window traffic::replay keeps:
+  /// the powers of two below the measured window, then the window.
+  std::vector<std::pair<long long, traffic::ReplayCounters>> windows;
+  std::uint64_t calls = 0;  // load/store calls
+};
+
+PlainReplay plain_replay(const traffic::SyntheticLayout& layout,
+                         const uarch::MachineModel& mm) {
+  test::ProbingHierarchy h = test::ProbingHierarchy::for_model(mm);
+  auto counters = [&]() -> traffic::ReplayCounters {
+    return {h.level(0).stats().misses, h.level(0).stats().evictions,
+            h.level(1).stats().hits,   h.level(1).stats().evictions,
+            h.level(2).stats().hits,   h.memory().lines_read,
+            h.memory().lines_written,  h.claimed_lines()};
+  };
+  const long long line = mm.cache.line_bytes;
+  const long long measure = layout.measure_iterations;
+  PlainReplay out;
+  traffic::ReplayCounters begin;
+  for (long long i = 0;; ++i) {
+    const long long w = i - layout.warmup_iterations;
+    if (w == 0) begin = counters();
+    const bool kept = w == measure ||
+                      (w > 0 && w < measure &&
+                       std::has_single_bit(static_cast<std::uint64_t>(w)));
+    if (kept) out.windows.push_back({w, minus(counters(), begin)});
+    if (w == measure) return out;
+    for (const traffic::LayoutOp& op : layout.ops) {
+      const long long lo = op.lo + i * op.stride;
+      for (long long l = floor_div(lo, line);
+           l <= floor_div(lo + op.width - 1, line); ++l) {
+        const auto addr = static_cast<std::uint64_t>(l * line);
+        if (op.nontemporal) {
+          h.store(addr, memsim::StoreKind::NonTemporal);
+          ++out.calls;
+          continue;
+        }
+        if (op.is_load) h.load(addr);
+        if (op.is_store) h.store(addr, memsim::StoreKind::Standard);
+        out.calls += (op.is_load ? 1 : 0) + (op.is_store ? 1 : 0);
+      }
+    }
+  }
+}
+
+/// Compares traffic::replay with the plain loop at every kept window: the
+/// measured one simulated, the shorter ones served from the kept run.
+/// Returns the replay's work.
+traffic::ReplayWork expect_replay_matches_plain(
+    traffic::SyntheticLayout layout, const uarch::MachineModel& mm) {
+  const PlainReplay plain = plain_replay(layout, mm);
+  const traffic::ReplayWork before = traffic::replay_work();
+  std::uint64_t simulated = traffic::simulated_replay_iterations();
+  EXPECT_TRUE(traffic::replay(layout, mm) == plain.windows.back().second)
+      << "window " << layout.measure_iterations;
+  traffic::ReplayWork work = traffic::replay_work();
+  work.line_accesses -= before.line_accesses;
+  work.cold -= before.cold;
+  work.mru -= before.mru;
+  // A layout equal to the previous one (another compiler's identical
+  // code) is served from the kept run and does no work.
+  if (traffic::simulated_replay_iterations() != simulated) {
+    EXPECT_EQ(work.line_accesses, plain.calls);
+  }
+  simulated = traffic::simulated_replay_iterations();
+  for (const auto& [window, counters] : plain.windows) {
+    layout.measure_iterations = window;
+    EXPECT_TRUE(traffic::replay(layout, mm) == counters) << "window " << window;
+  }
+  EXPECT_EQ(traffic::simulated_replay_iterations(), simulated);
+  return work;
+}
+
+/// The layout the gates replay, with a `window`-iteration measurement.
+traffic::SyntheticLayout gate_layout(const asmir::Program& prog,
+                                     const uarch::MachineModel& mm,
+                                     long long window) {
+  return traffic::synthesize_layout(traffic::analyze(prog, mm),
+                                    dataflow::analyze(prog), prog, mm, window,
+                                    traffic::kMaxReplayIterations);
+}
+
+constexpr const char* kNegativeStrideAtt = R"(
+  vmovsd (%rax), %xmm0
+  vaddsd 8(%rax), %xmm0, %xmm0
+  vmovsd %xmm0, (%rbx)
+  subq $8, %rax
+  subq $8, %rbx
+)";
+constexpr const char* kStrideZeroAtt = R"(
+  vmovsd (%rdi), %xmm0
+  vaddsd %xmm1, %xmm0, %xmm0
+  vmovsd %xmm0, (%rdi)
+  vmovsd (%rax), %xmm2
+  addq $8, %rax
+)";
+constexpr const char* kNonTemporalAtt = R"(
+  vmovupd (%rbx), %ymm1
+  vmovntpd %ymm1, (%rax)
+  addq $32, %rax
+  addq $32, %rbx
+)";
+constexpr const char* kRmwAtt = R"(
+  addq %r8, (%rax)
+  addq $8, %rax
+)";
+constexpr const char* kLineSpanningAtt = R"(
+  vmovupd 60(%rax), %ymm0
+  addq $64, %rax
+)";
+
+TEST(TrafficReplay, SkipRulesMatchPlainLoop) {
+  const uarch::MachineModel models[] = {shrunk(uarch::Micro::NeoverseV2),
+                                        shrunk(uarch::Micro::GoldenCove),
+                                        shrunk(uarch::Micro::Zen4)};
+  auto model_for = [&](uarch::Micro m) -> const uarch::MachineModel& {
+    for (const uarch::MachineModel& mm : models) {
+      if (mm.micro() == m) return mm;
+    }
+    return models[0];
+  };
+  // VP011's 32,768-iteration window on every 8th block, VP014's 2,048 on
+  // the rest: the same comparison at a bounded test time.
+  traffic::ReplayWork corpus;
+  int layouts = 0;
+  for (const driver::Block& b :
+       driver::dedup_blocks(kernels::test_matrix()).blocks) {
+    SCOPED_TRACE(b.variant.label());
+    const uarch::MachineModel& mm = model_for(b.mm->micro());
+    const traffic::SyntheticLayout layout = gate_layout(
+        b.gen.program, mm, layouts % 8 == 0 ? 32768 : 2048);
+    if (!layout.ok) continue;
+    ++layouts;
+    const traffic::ReplayWork w = expect_replay_matches_plain(layout, mm);
+    corpus.line_accesses += w.line_accesses;
+    corpus.cold += w.cold;
+    corpus.mru += w.mru;
+  }
+  EXPECT_GE(layouts, 200);
+  // Both rules answer a share of the corpus's accesses.
+  EXPECT_GT(corpus.cold, corpus.line_accesses / 100);
+  EXPECT_GT(corpus.mru, corpus.line_accesses / 4);
+
+  support::Rng rng(0x5c1full);
+  for (int body = 0; body < 60; ++body) {
+    const std::string text = test::random_body(rng, false);
+    SCOPED_TRACE(text);
+    const uarch::MachineModel& mm = models[body % 3];
+    const traffic::SyntheticLayout layout =
+        gate_layout(keep(asmir::parse(text, Isa::X86_64)), mm, 2048);
+    ASSERT_TRUE(layout.ok);
+    (void)expect_replay_matches_plain(layout, mm);
+  }
+
+  for (const char* text : {kNegativeStrideAtt, kStrideZeroAtt,
+                           kNonTemporalAtt, kRmwAtt, kLineSpanningAtt}) {
+    SCOPED_TRACE(text);
+    const asmir::Program& prog = keep(asmir::parse(text, Isa::X86_64));
+    for (const uarch::MachineModel& mm : models) {
+      const traffic::SyntheticLayout layout = gate_layout(prog, mm, 32768);
+      ASSERT_TRUE(layout.ok);
+      (void)expect_replay_matches_plain(layout, mm);
+    }
+  }
+  // On the machines' own caches: Grace's claims, and the byte stream whose
+  // warm-up the cap truncates on Genoa.
+  const auto& gcs = uarch::machine(uarch::Micro::NeoverseV2);
+  const traffic::ReplayWork claiming = expect_replay_matches_plain(
+      gate_layout(keep(asmir::parse(kClaimingStoreA64, Isa::AArch64)), gcs,
+                  32768),
+      gcs);
+  EXPECT_GT(claiming.cold, 0u);
+  const auto& genoa = uarch::machine(uarch::Micro::Zen4);
+  const traffic::SyntheticLayout bytes =
+      gate_layout(keep(asmir::parse(kByteStreamAtt, Isa::X86_64)), genoa,
+                  32768);
+  EXPECT_TRUE(bytes.capped);
+  (void)expect_replay_matches_plain(bytes, genoa);
+}
+
+// The cold rule needs every stream in a region of its own: a layout
+// whose streams share a line is refused, not replayed.
+TEST(TrafficReplay, OverlappingStreamRegionsAreRejected) {
+  const uarch::MachineModel mm = shrunk(uarch::Micro::Zen4);
+  traffic::SyntheticLayout layout =
+      gate_layout(keep(asmir::parse(kRmwAtt, Isa::X86_64)), mm, 2048);
+  ASSERT_TRUE(layout.ok);
+  ASSERT_EQ(layout.ops.size(), 1u);
+  traffic::LayoutOp other = layout.ops.front();
+  other.stream = 1;
+  other.lo += 4096;  // inside the first stream's walk
+  layout.ops.push_back(other);
+  EXPECT_THROW((void)traffic::replay(layout, mm), std::logic_error);
 }
 
 TEST(TrafficCodes, VtFamilyRegistered) {
